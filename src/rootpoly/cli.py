@@ -207,6 +207,12 @@ def _cmd_verify(args) -> int:
     if (args.graph is None) == (args.random is None):
         raise InputError("provide a graph file or --random N, not both")
     if args.random is not None:
+        if args.random < 1:
+            raise InputError("--random needs at least 1 vertex")
+        if args.count < 1:
+            raise InputError("--count must be at least 1")
+        if args.max_edges < 0:
+            raise InputError("--max-edges must be nonnegative")
         graphs = crosscheck.random_dags(args.seed, args.random, args.count, args.max_edges)
         source = f"random n={args.random} count={args.count} max-edges={args.max_edges} seed={args.seed}"
     else:

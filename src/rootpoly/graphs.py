@@ -322,14 +322,20 @@ def parse_subgraph(text: str, parent: Digraph) -> Subgraph:
     return parent.subgraph(edges)
 
 
+def _read_ascii(path) -> str:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: byte {exc.start} is not ASCII") from exc
+
+
 def load_digraph(path) -> Digraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_digraph(fh.read())
+    return parse_digraph(_read_ascii(path))
 
 
 def load_subgraph(path, parent: Digraph) -> Subgraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_subgraph(fh.read(), parent)
+    return parse_subgraph(_read_ascii(path), parent)
 
 
 def save_edge_list(g: GraphLike, path) -> None:

@@ -5,14 +5,24 @@ the polytope's vertices is a face exactly when some hyperplane touches the
 polytope precisely at S.  That existence question is an exact rational
 linear program, solved without any of the combinatorial theory, so the
 module serves as an independent oracle for cross-checks at desk scale.
+
+The linear algebra is integer-only: ranks and nullspaces come from
+fraction-free row reduction with gcd normalisation.  Before the linear
+program is built, a pre-test rejects S when a vertex outside S lies in the
+affine hull of S, which the nullspace of S's differences already shows.
+That answer is exact: a face is the intersection of the polytope with its
+supporting hyperplane, so it holds every vertex of the polytope in its own
+affine hull.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .graphs import Digraph, Subgraph
@@ -67,56 +77,65 @@ def descriptor_indices(h: Subgraph, contains_origin: bool) -> frozenset[int]:
 # --- exact linear algebra helpers -------------------------------------------
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
-    """In-place reduced row echelon form; returns pivot column indices."""
-    if not rows:
-        return [], rows
-    ncols = len(rows[0])
+def _row_reduce(vectors: Iterable[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integer reduced row echelon form of the rows, by fraction-free elimination.
+
+    Returns the pivot columns in increasing order and one row per pivot.
+    Each row is primitive, zero before its pivot and zero in every other
+    pivot column: the reduced row echelon form up to a scale per row.
+    """
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = -1
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel < 0:
+    rows: list[list[int]] = []
+    for v in vectors:
+        r = list(v)
+        for p, row in zip(pivots, rows):
+            f = r[p]
+            if f:
+                q = row[p]
+                r = [q * x - f * y for x, y in zip(r, row)]
+        col = next((j for j, x in enumerate(r) if x), -1)
+        if col < 0:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
+        g = gcd(*r)
+        r = [x // g for x in r]
+        piv = r[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f:
+                cleared = [piv * x - f * y for x, y in zip(row, r)]
+                g = gcd(*cleared)
+                rows[i] = [x // g for x in cleared]
+        at = bisect(pivots, col)
+        pivots.insert(at, col)
+        rows.insert(at, r)
     return pivots, rows
 
 
 def _rank(vectors: Sequence[Sequence[int]]) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    pivots, _ = _row_reduce(rows)
+    pivots, _ = _row_reduce(vectors)
     return len(pivots)
 
 
 def _nullspace_basis(vectors: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """Integer basis of {c : v.c = 0 for all v}, one column per free coordinate."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    pivots, rows = _row_reduce(rows)
+    """Integer basis of {c : v.c = 0 for all v}, one vector per free coordinate.
+
+    The vector of a free coordinate is zero at the other free coordinates,
+    positive at its own and primitive, which fixes it uniquely.
+    """
+    pivots, rows = _row_reduce(vectors)
     pivot_set = set(pivots)
     basis: list[list[int]] = []
     for free in range(n):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][free]
-        scale = lcm(*(x.denominator for x in vec))
-        basis.append([int(x * scale) for x in vec])
+        hits = [(p, row[p], row[free]) for p, row in zip(pivots, rows) if row[free]]
+        scale = lcm(*(q for _, q, _ in hits))
+        vec = [0] * n
+        vec[free] = scale
+        for p, q, f in hits:
+            vec[p] = -f * (scale // q)
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
 
 
@@ -140,6 +159,12 @@ def _face_lp(vs: VertexSet, included: frozenset[int], want_witness: bool):
     subset, c.v >= c.v0 + delta off it, and -1 <= c_i <= 1; the subset is a
     face exactly when the optimum is positive.  Conventions: the empty set
     and the full vertex set are faces.
+
+    The program is skipped when, for an excluded vertex v_j, v_j - v0 is
+    orthogonal to every nullspace vector of the subset's differences.  Then
+    v_j - v0 is in the span of those differences, so v_j lies in the
+    subset's affine hull, and its row of the program reads delta <= 0: the
+    optimum is 0 and the answer is "not a face", which is returned at once.
     """
     k = len(vs.points)
     n = vs.n
@@ -165,7 +190,10 @@ def _face_lp(vs: VertexSet, included: frozenset[int], want_witness: bool):
         if j in included:
             continue
         wv = [x - y for x, y in zip(vs.points[j], v0)]
-        a = [sum(wi * bi for wi, bi in zip(wv, b)) for b in basis]
+        a = [sum(map(mul, wv, b)) for b in basis]
+        if not any(a):
+            # v_j is in the affine hull of the subset.
+            return False, None
         lhs.append([-x for x in a] + a + [1])
         rhs.append(0)
     for i in range(n):

@@ -4,7 +4,9 @@ A primal simplex on the standard form  max c.x  s.t.  A.x <= b, x >= 0,
 b >= 0, using Bland's rule, so termination is guaranteed and every
 comparison is exact.  The tableau is kept integral with a running
 denominator (integer pivoting), which is much faster in Python than
-Fraction entries; all reported values are exact Fractions.
+Fraction entries.  Integer input rows enter the tableau as they are, and
+the pivot loop, including the early-stop test, makes no Fraction; only
+the reported values are exact Fractions.
 """
 
 from __future__ import annotations
@@ -29,11 +31,24 @@ class SimplexResult:
 
 
 def _integer_row(row: Sequence[Rational], tail: Rational) -> tuple[list[int], int]:
-    """Scale a row and its right-hand entry by the lcm of denominators."""
+    """Scale a row and its right-hand entry by the lcm of denominators.
+
+    A row of ints with an int tail is returned as it is, in a new list.
+    """
+    if type(tail) is int and all(type(v) is int for v in row):
+        return list(row), tail
     fracs = [Fraction(v) for v in row]
     t = Fraction(tail)
-    scale = lcm(t.denominator, *(f.denominator for f in fracs)) if fracs else t.denominator
+    scale = lcm(t.denominator, *(f.denominator for f in fracs))
     return [int(f * scale) for f in fracs], int(t * scale)
+
+
+def _pivot_row(r: list[int], prow: list[int], piv: int, det: int, enter: int) -> list[int]:
+    """One row after the integer pivot on prow[enter]; every division is exact."""
+    f = r[enter]
+    if f:
+        return [(x * piv - f * y) // det for x, y in zip(r, prow)]
+    return [x * piv // det for x in r]
 
 
 def simplex_maximize(
@@ -53,8 +68,8 @@ def simplex_maximize(
     if len(rhs) != m:
         raise ValueError("lhs and rhs sizes differ")
 
-    obj_scale = lcm(1, *(Fraction(v).denominator for v in objective)) if nv else 1
-    obj_int = [int(Fraction(v) * obj_scale) for v in objective]
+    # The tail 1 comes back as the objective's scale.
+    obj_int, obj_scale = _integer_row(objective, 1)
 
     width = nv + m + 1
     rows: list[list[int]] = []
@@ -71,7 +86,10 @@ def simplex_maximize(
 
     basis = list(range(nv, nv + m))
     det = 1  # current tableau denominator, always positive
-    target = None if stop_above is None else Fraction(stop_above)
+    # value > stop_above  <=>  zrow[-1] * den > num * det * obj_scale
+    if stop_above is not None:
+        target = Fraction(stop_above)
+        num, den = target.numerator, target.denominator
 
     while True:
         # Bland: entering column = lowest index with negative reduced cost.
@@ -99,29 +117,16 @@ def simplex_maximize(
             status = UNBOUNDED
             break
 
-        piv = rows[leave][enter]
         prow = rows[leave]
-        for r in rows:
-            if r is prow:
-                continue
-            f = r[enter]
-            if f:
-                for j in range(width):
-                    r[j] = (r[j] * piv - f * prow[j]) // det
-            else:
-                for j in range(width):
-                    r[j] = (r[j] * piv) // det
-        f = zrow[enter]
-        if f:
-            for j in range(width):
-                zrow[j] = (zrow[j] * piv - f * prow[j]) // det
-        else:
-            for j in range(width):
-                zrow[j] = (zrow[j] * piv) // det
+        piv = prow[enter]
+        for i, r in enumerate(rows):
+            if i != leave:
+                rows[i] = _pivot_row(r, prow, piv, det, enter)
+        zrow = _pivot_row(zrow, prow, piv, det, enter)
         det = piv
         basis[leave] = enter
 
-        if target is not None and Fraction(zrow[width - 1], det * obj_scale) > target:
+        if stop_above is not None and zrow[width - 1] * den > num * det * obj_scale:
             status = STOPPED
             break
 

@@ -161,6 +161,44 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_random_needs_a_vertex(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--random", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --random")
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_must_be_positive(self, capsys, count):
+        code, out, err = run(capsys, "verify", "--random", "4", "--count", count)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --count")
+
+    def test_negative_edge_cap_is_rejected(self):
+        # No draw can meet a negative cap, so sampling would never end; a
+        # subprocess with a timeout keeps a regression from hanging the suite.
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootpoly", "verify", "--random", "4", "--max-edges", "-1"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: --max-edges")
+
+
+class TestNonAsciiInput:
+    def test_graph_file(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"3 1\n1 2\x80\n")
+        for argv in (("check", str(bad), files["h12"], "--with-origin"), ("enumerate", str(bad)),
+                     ("fvector", str(bad)), ("verify", str(bad))):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and err.startswith("error:") and "not ASCII" in err
+
+    def test_subgraph_file(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("3 1\n1 2 \u2192\n".encode("utf-8"))
+        code, _, err = run(capsys, "check", files["k3"], str(bad), "--without-origin")
+        assert code == 2 and err.startswith("error:") and "not ASCII" in err
+
 
 def test_module_entry_point(tmp_path):
     k3 = tmp_path / "k3.txt"

@@ -18,6 +18,8 @@ from rootpoly.graphs import (
     induced,
     is_alternating,
     is_transitively_closed,
+    load_digraph,
+    load_subgraph,
     parse_digraph,
     parse_subgraph,
     undirected_components,
@@ -99,6 +101,18 @@ class TestSerialization:
     @given(dags())
     def test_round_trip_random(self, g):
         assert parse_digraph(format_edge_list(g)) == g
+
+    def test_load_digraph_rejects_non_ascii(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes("3 1\n1 2 \u00e9\n".encode("utf-8"))
+        with pytest.raises(GraphError, match="byte 8 is not ASCII"):
+            load_digraph(path)
+
+    def test_load_subgraph_rejects_non_ascii(self, k3, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_bytes(b"3 1\n1 2\xff\n")
+        with pytest.raises(GraphError, match="byte 7 is not ASCII"):
+            load_subgraph(path, k3)
 
 
 class TestComponents:

@@ -1,12 +1,18 @@
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rootpoly.graphs import validate
 from rootpoly.hull import (
     EmptySetError,
     NotASubsetOfVerticesError,
     TooLargeError,
+    _face_lp,
+    _nullspace_basis,
+    _rank,
     affine_dimension,
     descriptor_indices,
     enumerate_faces_bruteforce,
@@ -14,6 +20,59 @@ from rootpoly.hull import (
     polytope_vertices,
     supporting_hyperplane,
 )
+from rootpoly.linprog import OPTIMAL, simplex_maximize
+
+
+def reference_rref(vectors, n):
+    """Reduced row echelon form over Fraction: (pivot columns, rows)."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots, rows
+
+
+def reference_nullspace(vectors, n):
+    """One vector per free column: 1 there, 0 at the other free columns, scaled to integers."""
+    pivots, rows = reference_rref(vectors, n)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -rows[r][free]
+        scale = lcm(*(x.denominator for x in vec))
+        basis.append([int(x * scale) for x in vec])
+    return basis
+
+
+@st.composite
+def integer_matrices(draw):
+    """Rows with zero rows, rows that combine earlier ones and negative leading entries."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-4, max_value=4)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(entry), draw(entry)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return n, rows
 
 
 class TestVertexSet:
@@ -129,6 +188,83 @@ class TestEnumeration:
         for g in graphs:
             fv = enumerate_faces_bruteforce(g).f_vector(include_empty=True, include_improper=True)
             assert sum((-1) ** d * c for d, c in fv.items()) == 0
+
+
+class TestIntegerKernel:
+    @given(integer_matrices())
+    def test_rank_matches_fraction_reference(self, case):
+        n, rows = case
+        assert _rank(rows) == len(reference_rref(rows, n)[0])
+
+    @given(integer_matrices())
+    def test_nullspace_matches_fraction_reference(self, case):
+        n, rows = case
+        basis = _nullspace_basis(rows, n)
+        assert basis == reference_nullspace(rows, n)
+        for vec in basis:
+            assert all(type(x) is int for x in vec)
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+    def test_examples(self):
+        # Negative pivots, a zero row and a dependent row.
+        rows = [[0, -2, 4], [0, 0, 0], [0, 1, -2], [-3, 1, 1]]
+        assert _rank(rows) == 2
+        assert _nullspace_basis(rows, 3) == [[1, 2, 1]]
+        assert _nullspace_basis([[2, 3]], 2) == [[-3, 2]]
+        assert _nullspace_basis([], 2) == [[1, 0], [0, 1]]
+        assert _rank([[0, 0], [0, 0]]) == 0
+
+
+def full_separation_program(vs, included):
+    """The separation program of _face_lp with every excluded row kept."""
+    inc = sorted(included)
+    v0 = vs.points[inc[0]]
+    basis = _nullspace_basis([[x - y for x, y in zip(vs.points[i], v0)] for i in inc[1:]], vs.n)
+    d = len(basis)
+    lhs, rhs, in_hull = [], [], False
+    for j in range(len(vs.points)):
+        if j in included:
+            continue
+        a = [sum((x - y) * b for x, y, b in zip(vs.points[j], v0, vec)) for vec in basis]
+        in_hull = in_hull or not any(a)
+        lhs.append([-x for x in a] + a + [1])
+        rhs.append(0)
+    for i in range(vs.n):
+        row = [vec[i] for vec in basis]
+        if any(row):
+            lhs += [row + [-x for x in row] + [0], [-x for x in row] + row + [0]]
+            rhs += [1, 1]
+    return [0] * (2 * d) + [1], lhs, rhs, d, in_hull
+
+
+class TestAffineHullPreTest:
+    def test_decides_without_the_program(self, k3, monkeypatch):
+        def no_program(*args, **kwargs):
+            raise AssertionError("the separation program should have been skipped")
+
+        monkeypatch.setattr("rootpoly.hull.simplex_maximize", no_program)
+        # The affine hull of {0, e1-e2, e2-e3} holds e1-e3, their sum.
+        vs = polytope_vertices(k3)
+        assert _face_lp(vs, frozenset({0, 1, 3}), want_witness=True) == (False, None)
+
+    def test_never_disagrees_with_the_program(self, k4, square_graph):
+        rejected = 0
+        for g in (square_graph, k4):
+            vs = polytope_vertices(g)
+            k = len(vs.points)
+            for mask in range(1, (1 << k) - 1):
+                included = frozenset(i for i in range(k) if mask >> i & 1)
+                objective, lhs, rhs, d, in_hull = full_separation_program(vs, included)
+                if d == 0:
+                    continue
+                res = simplex_maximize(objective, lhs, rhs)
+                assert res.status == OPTIMAL
+                assert _face_lp(vs, included, want_witness=False)[0] == (res.value > 0)
+                if in_hull:
+                    rejected += 1
+                    assert res.value == 0
+                    assert _face_lp(vs, included, want_witness=True) == (False, None)
+        assert rejected > 50  # 89 of the 154 proper nonempty subsets
 
 
 class TestDescriptorIndices:

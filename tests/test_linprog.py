@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from rootpoly.linprog import OPTIMAL, STOPPED, UNBOUNDED, simplex_maximize
+from rootpoly.linprog import OPTIMAL, STOPPED, UNBOUNDED, _integer_row, simplex_maximize
 
 
 def solve_by_vertex_enumeration(objective, lhs, rhs):
@@ -79,6 +79,31 @@ def test_stop_above_short_circuits():
     res = simplex_maximize([1], [[1]], [5], stop_above=0)
     assert res.status == STOPPED
     assert res.value > 0
+
+
+def test_stop_above_fraction_threshold():
+    # The early stop compares value and threshold in integers, with the
+    # objective's scale: max x/3 with x <= 6 has value 2.
+    assert simplex_maximize([Fraction(1, 3)], [[1]], [6], stop_above=Fraction(19, 10)).status == STOPPED
+    assert simplex_maximize([Fraction(1, 3)], [[1]], [6], stop_above=2).status == OPTIMAL
+    assert simplex_maximize([1], [[1]], [5], stop_above=Fraction(9, 2)).status == STOPPED
+    assert simplex_maximize([1], [[1]], [5], stop_above=5).status == OPTIMAL
+
+
+def test_integer_row_passes_ints_through():
+    row = [3, -1, 0, 7]
+    scaled, tail = _integer_row(row, 2)
+    assert scaled == row and scaled is not row
+    assert tail == 2
+    assert all(type(x) is int for x in scaled) and type(tail) is int
+
+
+def test_integer_row_scales_fractions():
+    assert _integer_row([Fraction(1, 2), Fraction(-1, 3)], Fraction(1, 4)) == ([6, -4], 3)
+    assert _integer_row([1, Fraction(1, 2)], 3) == ([2, 1], 6)
+    scaled, tail = _integer_row([Fraction(2), Fraction(4)], Fraction(6))
+    assert (scaled, tail) == ([2, 4], 6)
+    assert all(type(x) is int for x in scaled) and type(tail) is int
 
 
 def test_negative_rhs_rejected():
