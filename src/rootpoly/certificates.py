@@ -5,25 +5,19 @@ with a right-hand side c0.  For a face containing the origin the emitted
 hyperplane has c0 = 0 with c constant on components of H and strictly
 decreasing along every leftover edge of G; for a face avoiding the origin
 it has c0 = -1 with c stepping down by exactly one along edges of H and by
-strictly less than one along the rest.  Verification is a direct exact
+strictly less than one along the rest.  Both are read off the pair's
+analysis (``faces.build_hcomp``): the contraction's sink-first order, or
+H's weights shifted by the Bellman-Ford potentials that the admissibility
+test has already computed.  Verification is a direct exact
 transcription of those conditions and accepts any valid alternative.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .faces import (
-    HComp,
-    WeightFunction,
-    build_hcomp,
-    is_tilde_face,
-    path_consistency,
-    _bellman_ford,
-    _scaled_weights,
-)
+from .faces import HComp, WeightFunction, _bellman_ford, build_hcomp
 from .graphs import Digraph, Subgraph
 
 
@@ -35,15 +29,6 @@ class NotAdmissibleError(RuntimeError):
     """Internal consistency failure: a negative cycle despite an admissible input."""
 
 
-def format_rational(x: Fraction) -> str:
-    """Lowest-terms string with the sign on the numerator, e.g. "-1/3" or "2"."""
-    return str(x)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Hyperplane coefficients c_1..c_n and right-hand side c0, all exact rationals."""
@@ -52,11 +37,11 @@ class Certificate:
     c0: Fraction
 
     def to_json_dict(self) -> dict:
-        return {"c": [format_rational(x) for x in self.c], "c0": format_rational(self.c0)}
+        return {"c": [str(x) for x in self.c], "c0": str(self.c0)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
-        return cls(tuple(parse_rational(x) for x in data["c"]), parse_rational(data["c0"]))
+        return cls(tuple(Fraction(x) for x in data["c"]), Fraction(data["c0"]))
 
 
 @dataclass(frozen=True)
@@ -70,48 +55,34 @@ class ShiftVector:
     d: tuple[Fraction, ...]
 
 
-def _sink_first_extension(hc: HComp) -> list[int]:
-    """Labels 1..k with label(source) > label(target) along every contracted edge.
+def certify(hc: HComp, contains_origin: bool) -> Certificate:
+    """Certificate for the face (H, origin flag) from the pair's analysis; raises NotAFaceError otherwise.
 
-    Kahn's algorithm from the sinks up, ties broken by smallest component id.
+    With the origin, coefficients come from the sink-first order of the
+    contracted multigraph, and the full graph gets the all-ones vector.
+    Without it, coefficients are the vertex weights shifted per component,
+    with right-hand side -1; the empty subgraph certifies the empty face.
     """
-    k = hc.vertex_count
-    outdeg = [0] * k
-    sources_of: list[list[int]] = [[] for _ in range(k)]
-    for e in hc.edges:
-        outdeg[e.source] += 1
-        sources_of[e.target].append(e.source)
-    ready = [v for v in range(k) if outdeg[v] == 0]
-    heapq.heapify(ready)
-    label = [0] * k
-    assigned = 0
-    while ready:
-        v = heapq.heappop(ready)
-        assigned += 1
-        label[v] = assigned
-        for u in sources_of[v]:
-            outdeg[u] -= 1
-            if outdeg[u] == 0:
-                heapq.heappush(ready, u)
-    if assigned != k:
-        raise NotAFaceError("contracted multigraph has a directed cycle")
-    return label
+    comp = hc.components.component_of
+    if contains_origin:
+        if not hc.is_tilde_face():
+            raise NotAFaceError("subgraph does not define a face containing the origin")
+        if hc.h.is_full():
+            return Certificate(tuple(Fraction(1) for _ in comp), Fraction(0))
+        return Certificate(tuple(Fraction(hc.order[c]) for c in comp), Fraction(0))
+    w = hc.weights
+    if w is None:
+        raise NotAFaceError("subgraph is not path consistent")
+    try:
+        shift = solve_shift_vector(hc, w)
+    except NotAdmissibleError as exc:
+        raise NotAFaceError("subgraph is not admissible") from exc
+    return Certificate(tuple(Fraction(x) + shift.d[c] for x, c in zip(w.values, comp)), Fraction(-1))
 
 
 def tilde_certificate(g: Digraph, h: Subgraph) -> Certificate:
-    """Certificate for a face containing the origin; raises NotAFaceError otherwise.
-
-    Coefficients come from a deterministic linear extension of the
-    contracted multigraph; the full graph gets the all-ones vector.
-    """
-    if not is_tilde_face(g, h):
-        raise NotAFaceError("subgraph does not define a face containing the origin")
-    if h.is_full():
-        return Certificate(tuple(Fraction(1) for _ in range(g.n)), Fraction(0))
-    hc = build_hcomp(g, h)
-    label = _sink_first_extension(hc)
-    comp = hc.components.component
-    return Certificate(tuple(Fraction(label[comp(v)]) for v in range(1, g.n + 1)), Fraction(0))
+    """Certificate for a face containing the origin; raises NotAFaceError otherwise."""
+    return certify(build_hcomp(g, h), True)
 
 
 def solve_shift_vector(hc: HComp, w: WeightFunction) -> ShiftVector:
@@ -120,8 +91,9 @@ def solve_shift_vector(hc: HComp, w: WeightFunction) -> ShiftVector:
     Runs Bellman-Ford from a virtual zero-weight source over the edge
     weights wd(e) + 1 - 1/(m+1); admissibility guarantees no negative
     cycle, and the potentials leave slack at least 1/(m+1) on every edge.
+    For H's own weights the analysis's run is reused.
     """
-    dist, bad = _bellman_ford(hc, _scaled_weights(hc, w))
+    dist, bad = hc.potentials if w == hc.weights else _bellman_ford(hc, w)
     if bad is not None:
         raise NotAdmissibleError("negative cycle found while solving the shift system")
     m1 = len(hc.edges) + 1
@@ -131,21 +103,9 @@ def solve_shift_vector(hc: HComp, w: WeightFunction) -> ShiftVector:
 def q_certificate(g: Digraph, h: Subgraph) -> Certificate:
     """Certificate for a face avoiding the origin; raises NotAFaceError otherwise.
 
-    Coefficients are the vertex weights shifted per component, with
-    right-hand side -1.  The empty subgraph is accepted and certifies the
-    empty face.
+    The empty subgraph is accepted and certifies the empty face.
     """
-    w = path_consistency(h)
-    if w is None:
-        raise NotAFaceError("subgraph is not path consistent")
-    hc = build_hcomp(g, h)
-    try:
-        shift = solve_shift_vector(hc, w)
-    except NotAdmissibleError as exc:
-        raise NotAFaceError("subgraph is not admissible") from exc
-    comp = hc.components.component
-    c = tuple(Fraction(w[v]) + shift.d[comp(v)] for v in range(1, g.n + 1))
-    return Certificate(c, Fraction(-1))
+    return certify(build_hcomp(g, h), False)
 
 
 def verify_certificate(g: Digraph, h: Subgraph, cert: Certificate, contains_origin: bool) -> bool:

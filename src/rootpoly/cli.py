@@ -11,18 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
+from collections import Counter
 
 from . import crosscheck
-from .certificates import NotAFaceError, q_certificate, tilde_certificate, verify_certificate
-from .enumeration import enumerate_faces, fvector, kn_face_data, kn_q_faces, kn_tilde_faces
+from .certificates import NotAFaceError, certify, verify_certificate
+from .enumeration import enumerate_faces, fvector, kn_face_counts, kn_q_faces, kn_tilde_faces
 from .faces import (
     ConflictObstruction,
     CycleObstruction,
     InadmissibleCycleObstruction,
     LoopObstruction,
-    q_obstruction,
-    tilde_obstruction,
+    build_hcomp,
 )
 from .graphs import Digraph, GraphError, Subgraph, load_digraph, load_subgraph
 from .hull import TooLargeError
@@ -64,15 +63,16 @@ def _diagnostic_dict(obs) -> dict:
 
 
 def _query_result(g: Digraph, h: Subgraph, contains_origin: bool) -> dict:
+    hc = build_hcomp(g, h)
     if contains_origin:
-        obs = tilde_obstruction(g, h)
+        obs = hc.tilde_obstruction()
         kind = "face-with-origin"
     else:
-        obs = q_obstruction(g, h)
+        obs = hc.q_obstruction()
         kind = "face-without-origin"
     result: dict = {"query": kind, "face": obs is None}
     if obs is None:
-        cert = tilde_certificate(g, h) if contains_origin else q_certificate(g, h)
+        cert = certify(hc, contains_origin)
         if not verify_certificate(g, h, cert, contains_origin):
             raise RuntimeError("emitted certificate failed verification")
         result["certificate"] = cert.to_json_dict()
@@ -146,26 +146,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _kn_fvector_counts(n: int, tilde_only: bool, q_only: bool, include_trivial: bool) -> dict[int, int]:
-    """Counts by dimension straight from the generators; the binomial tilde
-    counts include the improper face, and the empty face joins only on request."""
-    counts: dict[int, int] = {}
-    if not q_only:
-        for d in range(n):
-            c = comb(n - 1, n - d - 1)
-            if c:
-                counts[d] = counts.get(d, 0) + c
-    if not tilde_only:
-        for datum in kn_face_data(n):
-            used = sum(len(left) + len(right) for left, right in datum.blocks)
-            r = len(datum.blocks) + (n - used)
-            d = n - r - 1
-            counts[d] = counts.get(d, 0) + 1
-        if include_trivial:
-            counts[-1] = counts.get(-1, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def _cmd_kn(args) -> int:
     n = args.n
     if n < 1:
@@ -175,8 +155,14 @@ def _cmd_kn(args) -> int:
     doc: dict = {"n": n}
     lines: list[str] = []
     if args.fvector:
-        counts = _kn_fvector_counts(n, args.tilde_only, args.q_only, args.include_trivial_faces)
-        doc["fvector"] = {str(d): c for d, c in counts.items()}
+        counts = Counter()
+        if not args.q_only:
+            counts += kn_face_counts(n, True)
+        if not args.tilde_only:
+            counts += kn_face_counts(n, False)
+        if args.include_trivial_faces and not args.tilde_only:
+            counts[-1] += 1  # the empty face
+        doc["fvector"] = {str(d): c for d, c in sorted(counts.items())}
         lines.append("f-vector " + json.dumps(doc["fvector"]))
     else:
         out = []
@@ -320,7 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, TooLargeError, NotAFaceError) as exc:
+    except (InputError, TooLargeError, NotAFaceError, crosscheck.UnreachableCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import comb
 from multiprocessing import Pool
 
-from .certificates import q_certificate, tilde_certificate, verify_certificate
-from .faces import is_q_face, is_tilde_face
+from .certificates import certify, verify_certificate
+from .faces import build_hcomp
 from .graphs import Digraph, DirectedCycleError, Edge, Subgraph
 from .hull import FaceLattice, descriptor_indices, enumerate_faces_bruteforce
 
@@ -57,9 +58,10 @@ def check_graph(g: Digraph, lattice: FaceLattice | None = None) -> CheckReport:
     m = len(g.edges)
     for mask in range(1 << m):
         h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
+        hc = build_hcomp(g, h)
         for contains_origin in (True, False):
             expected = lattice.is_face(descriptor_indices(h, contains_origin))
-            got = is_tilde_face(g, h) if contains_origin else is_q_face(g, h)
+            got = hc.is_tilde_face() if contains_origin else hc.is_q_face()
             report.checks += 1
             if got != expected:
                 report.disagreements.append(
@@ -67,7 +69,7 @@ def check_graph(g: Digraph, lattice: FaceLattice | None = None) -> CheckReport:
                 )
                 continue
             if got:
-                cert = tilde_certificate(g, h) if contains_origin else q_certificate(g, h)
+                cert = certify(hc, contains_origin)
                 report.certificates += 1
                 if not verify_certificate(g, h, cert, contains_origin):
                     report.certificate_failures.append(
@@ -103,11 +105,27 @@ def all_dags(n: int) -> list[Digraph]:
     return out
 
 
+# random_dag refuses an edge cap that fewer than one draw in 2**CAP_ODDS_BITS meets.
+CAP_ODDS_BITS = 16
+
+
+class UnreachableCapError(ValueError):
+    """An edge cap that random draws would almost never meet."""
+
+
 def random_dag(rng: random.Random, n: int, max_edges: int | None = None) -> Digraph:
     """A random labeled DAG: random topological order, then a fair coin per pair.
 
-    When an edge cap is given, draws are rejected until they fit.
+    When an edge cap is given, draws are rejected until they fit.  The edge
+    count is Binomial(n(n-1)/2, 1/2), and a cap it meets with probability
+    below 2**-CAP_ODDS_BITS is refused at once, by an exact integer test.
     """
+    if max_edges is not None:
+        pairs = n * (n - 1) // 2
+        if sum(comb(pairs, k) for k in range(min(max_edges, pairs) + 1)) << CAP_ODDS_BITS < 1 << pairs:
+            raise UnreachableCapError(
+                f"edge cap {max_edges} is met by fewer than 1 in 2^{CAP_ODDS_BITS} random DAGs on {n} vertices"
+            )
     while True:
         order = list(range(1, n + 1))
         rng.shuffle(order)

@@ -1,26 +1,23 @@
 """Face enumeration and closed-form generators for special graph classes.
 
 General graphs are enumerated by running the combinatorial oracle over all
-spanning subgraphs.  Complete graphs, connected alternating graphs and
-transitively closed graphs additionally have direct generators (interval
-decompositions, independent-set splits, and vertex bipartitions) that are
-cross-checked against the oracle in the test suite.
+spanning subgraphs, one analysis (``faces.build_hcomp``) per subgraph, with
+both face dimensions read from its component count.  Complete graphs,
+connected alternating graphs and transitively closed graphs additionally
+have direct generators (interval decompositions, independent-set splits,
+and vertex bipartitions) that are cross-checked against the oracle in the
+test suite; ``kn_face_counts`` is the one f-vector formula for K_n, behind
+``fvector(mode="formula")`` and the ``kn --fvector`` command.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .faces import (
-    FaceDescriptor,
-    is_alternating,
-    is_q_face,
-    is_tilde_face,
-    q_dimension_alternating,
-    tilde_dimension,
-)
+from .faces import FaceDescriptor, build_hcomp, is_alternating
 from .graphs import (
     Digraph,
     NotAlternatingError,
@@ -31,7 +28,7 @@ from .graphs import (
     is_transitively_closed,
     undirected_components,
 )
-from .hull import TooLargeError, affine_dimension
+from .hull import TooLargeError
 
 
 class NotConnectedError(ValueError):
@@ -64,38 +61,27 @@ class EnumeratedFace:
     dim: int
 
 
-def _q_face_dimension(h: Subgraph) -> int:
-    """Exact dimension of the origin-free polytope of H.
-
-    Alternating graphs use the component-count formula; everything else
-    falls back to the rank of the edge vectors (the formula is only proven
-    for alternating graphs).
-    """
-    if not h.mask:
-        return -1
-    if is_alternating(h):
-        return q_dimension_alternating(h)
-    n = h.n
-    pts = []
-    for u, v in h.edges:
-        p = [0] * n
-        p[u - 1] = 1
-        p[v - 1] = -1
-        pts.append(tuple(p))
-    return affine_dimension(pts)
-
-
 def _faces_in_mask_range(args: tuple) -> list[EnumeratedFace]:
+    """Faces among the subgraphs whose masks lie in [start, stop), read off one analysis each.
+
+    With r undirected components of H, the origin-containing face has
+    dimension n - r.  The origin-free one has dimension n - r - 1 for every
+    path-consistent H: H's weights w satisfy w.(e_u - e_v) = -1 on each of
+    its points, a hyperplane missing the origin, and the points span the
+    (n - r)-dimensional space of the edge vectors of H.
+    """
     g, start, stop, include_empty, include_improper = args
     m = len(g.edges)
     out: list[EnumeratedFace] = []
     for mask in range(start, stop):
         h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
-        if is_tilde_face(g, h):
+        hc = build_hcomp(g, h)
+        dim = g.n - hc.vertex_count
+        if hc.is_tilde_face():
             if include_improper or not h.is_full():
-                out.append(EnumeratedFace(FaceDescriptor(h, True), tilde_dimension(h)))
-        if is_q_face(g, h) and (h.mask or include_empty):
-            out.append(EnumeratedFace(FaceDescriptor(h, False), _q_face_dimension(h)))
+                out.append(EnumeratedFace(FaceDescriptor(h, True), dim))
+        if (h.mask or include_empty) and hc.is_q_face():
+            out.append(EnumeratedFace(FaceDescriptor(h, False), dim - 1))
     return out
 
 
@@ -237,6 +223,20 @@ def kn_face_data(n: int) -> list[KnFaceDatum]:
     return out
 
 
+def kn_face_counts(n: int, contains_origin: bool) -> Counter:
+    """Face counts of the polytope of K_n by dimension, straight from the generators.
+
+    With the origin the improper face is counted: a composition of [n] into
+    n - d intervals gives a face of dimension d.  Without it the empty face
+    is not: a datum using u vertices in b blocks gives one of dimension
+    u - b - 1.
+    """
+    if contains_origin:
+        return Counter({d: comb(n - 1, d) for d in range(n)})
+    return Counter(sum(len(left) + len(right) for left, right in datum.blocks) - len(datum.blocks) - 1
+                   for datum in kn_face_data(n))
+
+
 def kn_q_faces(n: int) -> list[Subgraph]:
     """Origin-free faces of the polytope of K_n with at least one edge, each exactly once."""
     return [datum_subgraph(d, n) for d in kn_face_data(n)]
@@ -288,9 +288,9 @@ def facets_alternating(g: Digraph) -> list[Subgraph]:
         if mask in seen:
             continue
         seen.add(mask)
-        h = Subgraph(g, mask)
-        if undirected_components(h).count == 2 and is_tilde_face(g, h):
-            out.append(h)
+        hc = build_hcomp(g, Subgraph(g, mask))
+        if hc.vertex_count == 2 and hc.is_tilde_face():
+            out.append(hc.h)
     out.sort(key=lambda h: h.indices)
     return out
 
@@ -374,21 +374,12 @@ def fvector(
         n = g.n
         if g.edges != complete_graph(n).edges:
             raise ValueError("formula mode requires the complete graph with canonical edge order")
-        for d in range(n):
-            c = comb(n - 1, n - d - 1)
-            if c:
-                counts[d] = counts.get(d, 0) + c
-        for datum in kn_face_data(n):
-            used = sum(len(left) + len(right) for left, right in datum.blocks)
-            r = len(datum.blocks) + (n - used)
-            d = n - r - 1
-            counts[d] = counts.get(d, 0) + 1
+        counts = kn_face_counts(n, True) + kn_face_counts(n, False)
         if not include_improper:
             counts[n - 1] -= 1
-            if counts[n - 1] == 0:
-                del counts[n - 1]
+            counts = +counts  # drops the dimension the improper face leaves empty
         if include_empty:
-            counts[-1] = counts.get(-1, 0) + 1
+            counts[-1] += 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return FVector.from_dict(counts, include_empty, include_improper)

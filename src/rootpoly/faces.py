@@ -9,13 +9,17 @@ Two questions are decided for a spanning subgraph H of G:
   question) -- answered by path consistency plus an integer cycle condition
   on the contracted multigraph ("admissibility").
 
-Negative answers come with small checkable witnesses used by the CLI.
+Both questions, their witnesses and the certificates read one analysis of
+the pair, ``build_hcomp(g, h)``: a single breadth-first search of H, then
+the contraction, its sink-first order and Bellman-Ford, each at most once
+and only when asked for.  Negative answers come with small checkable
+witnesses used by the CLI.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     ComponentStructure,
@@ -25,6 +29,7 @@ from .graphs import (
     NotAlternatingError,
     Subgraph,
     is_alternating,
+    sink_first_labels,
     undirected_components,
 )
 
@@ -46,18 +51,73 @@ class HCompEdge:
 
 @dataclass(frozen=True)
 class HComp:
-    """The multigraph obtained by contracting each undirected component of H.
+    """The analysis of a pair (G, H), which every face predicate, obstruction and certificate reads.
 
-    Carries one labelled edge per element of E(G)\\E(H); loops and parallel
-    edges are permitted.
+    Building it runs one breadth-first search of H, which gives H's
+    undirected components together with its weight function or its first
+    path conflict.  Each later stage is computed at most once, on first
+    use: the contraction of the components, with one labelled edge per
+    element of E(G)\\E(H) and loops and parallel edges permitted; the
+    contraction's sink-first order; and Bellman-Ford over H's own weights.
     """
 
+    g: Digraph
+    h: Subgraph
     components: ComponentStructure
-    edges: tuple[HCompEdge, ...]
 
     @property
     def vertex_count(self) -> int:
         return self.components.count
+
+    @cached_property
+    def edges(self) -> tuple[HCompEdge, ...]:
+        comp = self.components.component_of
+        mask = self.h.mask
+        return tuple(
+            HCompEdge(comp[u - 1], comp[v - 1], i, (u, v))
+            for i, (u, v) in enumerate(self.g.edges)
+            if i not in mask
+        )
+
+    @cached_property
+    def loop(self) -> HCompEdge | None:
+        """The first contracted edge that joins a component to itself."""
+        return next((e for e in self.edges if e.source == e.target), None)
+
+    @cached_property
+    def order(self) -> list[int] | None:
+        """Component labels 1..k dropping along every contracted edge, or None on a directed cycle."""
+        labels = sink_first_labels(self.vertex_count, ((e.source, e.target) for e in self.edges))
+        return None if 0 in labels else labels
+
+    @cached_property
+    def weights(self) -> WeightFunction | None:
+        """H's weight function, or None when H is not path consistent."""
+        return _weight_function(self.components)
+
+    @cached_property
+    def potentials(self) -> tuple[list[int], list[HCompEdge] | None]:
+        """Bellman-Ford over H's own weights, as (potentials, negative cycle); H must be path consistent."""
+        return _bellman_ford(self, self.weights)
+
+    def is_tilde_face(self) -> bool:
+        return self.loop is None and self.order is not None
+
+    def tilde_obstruction(self) -> TildeObstruction | None:
+        if self.loop is not None:
+            return LoopObstruction(self.loop.g_edge)
+        if self.order is None:
+            return CycleObstruction(tuple(e.g_edge for e in _find_directed_cycle(self)))
+        return None
+
+    def is_q_face(self) -> bool:
+        return self.weights is not None and self.potentials[1] is None
+
+    def q_obstruction(self) -> QObstruction | None:
+        conflict = self.components.conflict
+        if conflict is not None:
+            return ConflictObstruction(*conflict)
+        return _inadmissible_cycle(self.weights, self.potentials[1])
 
 
 @dataclass(frozen=True)
@@ -134,47 +194,12 @@ QObstruction = ConflictObstruction | InadmissibleCycleObstruction
 
 
 def build_hcomp(g: Digraph, h: Subgraph) -> HComp:
-    """Contract each undirected component of H; label leftover G-edges."""
-    comps = undirected_components(h)
-    edges = []
-    for i, (u, v) in enumerate(g.edges):
-        if i in h.mask:
-            continue
-        edges.append(HCompEdge(comps.component(u), comps.component(v), i, (u, v)))
-    return HComp(comps, tuple(edges))
-
-
-def _find_loop(hc: HComp) -> HCompEdge | None:
-    for e in hc.edges:
-        if e.source == e.target:
-            return e
-    return None
-
-
-def _is_acyclic(hc: HComp) -> bool:
-    k = hc.vertex_count
-    indeg = [0] * k
-    succ: list[list[int]] = [[] for _ in range(k)]
-    for e in hc.edges:
-        indeg[e.target] += 1
-        succ[e.source].append(e.target)
-    queue = deque(v for v in range(k) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == k
+    """The analysis of (G, H): the breadth-first search now, every later stage on first use."""
+    return HComp(g, h, undirected_components(h))
 
 
 def _find_directed_cycle(hc: HComp) -> list[HCompEdge] | None:
-    """First directed cycle of the multigraph in DFS order, loops included."""
-    loop = _find_loop(hc)
-    if loop is not None:
-        return [loop]
+    """First directed cycle of a loopless contraction in DFS order."""
     k = hc.vertex_count
     adj: list[list[int]] = [[] for _ in range(k)]
     for idx, e in enumerate(hc.edges):
@@ -216,20 +241,12 @@ def _find_directed_cycle(hc: HComp) -> list[HCompEdge] | None:
 
 def is_tilde_face(g: Digraph, h: Subgraph) -> bool:
     """True iff the origin-containing subpolytope of H is a face: contraction loopless and acyclic."""
-    hc = build_hcomp(g, h)
-    return _find_loop(hc) is None and _is_acyclic(hc)
+    return build_hcomp(g, h).is_tilde_face()
 
 
 def tilde_obstruction(g: Digraph, h: Subgraph) -> TildeObstruction | None:
     """A loop or directed cycle of the contraction, or None when H passes."""
-    hc = build_hcomp(g, h)
-    loop = _find_loop(hc)
-    if loop is not None:
-        return LoopObstruction(loop.g_edge)
-    cycle = _find_directed_cycle(hc)
-    if cycle is not None:
-        return CycleObstruction(tuple(e.g_edge for e in cycle))
-    return None
+    return build_hcomp(g, h).tilde_obstruction()
 
 
 def loopless_partition(g: Digraph, h: Subgraph) -> tuple[frozenset[int], ...] | None:
@@ -238,48 +255,17 @@ def loopless_partition(g: Digraph, h: Subgraph) -> tuple[frozenset[int], ...] | 
     Present exactly when the contraction is loopless; the parts are the
     undirected components of H.
     """
-    comps = undirected_components(h)
-    for i, (u, v) in enumerate(g.edges):
-        if i not in h.mask and comps.component(u) == comps.component(v):
-            return None
-    return tuple(frozenset(part) for part in comps.members)
+    hc = build_hcomp(g, h)
+    if hc.loop is not None:
+        return None
+    return tuple(frozenset(part) for part in hc.components.members)
 
 
 # --- path consistency and weights ---------------------------------------------
 
 
-def _label_vertices(h: GraphLike) -> tuple[list[int], ConflictObstruction | None]:
-    """Breadth-first weight labelling; reports the first revisit conflict."""
-    n = h.n
-    adj: list[list[tuple[int, int, Edge]]] = [[] for _ in range(n + 1)]
-    for u, v in h.edges:
-        adj[u].append((v, 1, (u, v)))
-        adj[v].append((u, -1, (u, v)))
-    w = [0] * (n + 1)
-    seen = [False] * (n + 1)
-    for s in range(1, n + 1):
-        if seen[s]:
-            continue
-        seen[s] = True
-        w[s] = 0
-        queue = deque([s])
-        members = [s]
-        while queue:
-            v = queue.popleft()
-            for x, step, edge in adj[v]:
-                implied = w[v] + step
-                if not seen[x]:
-                    seen[x] = True
-                    w[x] = implied
-                    members.append(x)
-                    queue.append(x)
-                elif w[x] != implied:
-                    return w, ConflictObstruction(x, w[x], implied, edge)
-        base = min(w[v] for v in members)
-        if base:
-            for v in members:
-                w[v] -= base
-    return w, None
+def _weight_function(comps: ComponentStructure) -> WeightFunction | None:
+    return WeightFunction(comps.labels) if comps.conflict is None else None
 
 
 def path_consistency(h: GraphLike) -> WeightFunction | None:
@@ -289,16 +275,13 @@ def path_consistency(h: GraphLike) -> WeightFunction | None:
     +1 along each edge and -1 against it never revisits a vertex with a
     different value.
     """
-    w, conflict = _label_vertices(h)
-    if conflict is not None:
-        return None
-    return WeightFunction(tuple(w[1:]))
+    return _weight_function(undirected_components(h))
 
 
 def path_conflict(h: GraphLike) -> ConflictObstruction | None:
     """The first labelling conflict, or None when H is path consistent."""
-    _, conflict = _label_vertices(h)
-    return conflict
+    conflict = undirected_components(h).conflict
+    return None if conflict is None else ConflictObstruction(*conflict)
 
 
 def weight_decrease(w: WeightFunction, e: HCompEdge) -> int:
@@ -316,18 +299,16 @@ def weight_decrease(w: WeightFunction, e: HCompEdge) -> int:
 # Bellman-Ford finds with integer arithmetic.
 
 
-def _scaled_weights(hc: HComp, w: WeightFunction) -> list[int]:
-    m1 = len(hc.edges) + 1
-    return [(weight_decrease(w, e) + 1) * m1 - 1 for e in hc.edges]
-
-
-def _bellman_ford(hc: HComp, weights: list[int]) -> tuple[list[int], list[HCompEdge] | None]:
+def _bellman_ford(hc: HComp, w: WeightFunction) -> tuple[list[int], list[HCompEdge] | None]:
     """Shortest-walk potentials from a virtual zero-weight source to every vertex.
 
-    Returns (potentials, negative_cycle); the potentials are in units of
-    1/(m+1) and only meaningful when no negative cycle exists.
+    Returns (potentials, negative_cycle) for the scaled weights of w; the
+    potentials are in units of 1/(m+1) and only meaningful when no negative
+    cycle exists.
     """
     k = hc.vertex_count
+    m1 = len(hc.edges) + 1
+    weights = [(weight_decrease(w, e) + 1) * m1 - 1 for e in hc.edges]
     dist = [0] * k
     pred: list[int | None] = [None] * k
     for _ in range(k):
@@ -361,23 +342,23 @@ def _bellman_ford(hc: HComp, weights: list[int]) -> tuple[list[int], list[HCompE
     return dist, None
 
 
-def is_admissible(g: Digraph, h: Subgraph, w: WeightFunction) -> bool:
-    """True iff every directed cycle of the contraction has weight-decrease total > -length."""
-    hc = build_hcomp(g, h)
-    _, bad = _bellman_ford(hc, _scaled_weights(hc, w))
-    return bad is None
-
-
-def admissibility_obstruction(g: Digraph, h: Subgraph, w: WeightFunction) -> InadmissibleCycleObstruction | None:
-    """A violating directed cycle with its weight-decrease total, or None."""
-    hc = build_hcomp(g, h)
-    _, bad = _bellman_ford(hc, _scaled_weights(hc, w))
+def _inadmissible_cycle(w: WeightFunction, bad: list[HCompEdge] | None) -> InadmissibleCycleObstruction | None:
     if bad is None:
         return None
     total = sum(weight_decrease(w, e) for e in bad)
     if total > -len(bad):
         raise AssertionError("extracted cycle does not violate admissibility")
     return InadmissibleCycleObstruction(tuple(e.g_edge for e in bad), total)
+
+
+def is_admissible(g: Digraph, h: Subgraph, w: WeightFunction) -> bool:
+    """True iff every directed cycle of the contraction has weight-decrease total > -length."""
+    return _bellman_ford(build_hcomp(g, h), w)[1] is None
+
+
+def admissibility_obstruction(g: Digraph, h: Subgraph, w: WeightFunction) -> InadmissibleCycleObstruction | None:
+    """A violating directed cycle with its weight-decrease total, or None."""
+    return _inadmissible_cycle(w, _bellman_ford(build_hcomp(g, h), w)[1])
 
 
 # --- the no-origin question ----------------------------------------------------
@@ -388,18 +369,12 @@ def is_q_face(g: Digraph, h: Subgraph) -> bool:
 
     The empty subgraph encodes the empty face and answers True.
     """
-    w = path_consistency(h)
-    if w is None:
-        return False
-    return is_admissible(g, h, w)
+    return build_hcomp(g, h).is_q_face()
 
 
 def q_obstruction(g: Digraph, h: Subgraph) -> QObstruction | None:
     """A path-consistency conflict or an inadmissible cycle, or None when H passes."""
-    w, conflict = _label_vertices(h)
-    if conflict is not None:
-        return conflict
-    return admissibility_obstruction(g, h, WeightFunction(tuple(w[1:])))
+    return build_hcomp(g, h).q_obstruction()
 
 
 # --- dimensions ----------------------------------------------------------------

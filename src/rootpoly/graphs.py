@@ -7,8 +7,8 @@ indices, which keeps certificates and JSON output stable.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -48,23 +48,30 @@ class OverlappingPartsError(GraphError):
 Edge = tuple[int, int]
 
 
-def _check_acyclic(n: int, edges: Sequence[Edge]) -> None:
-    indeg = [0] * (n + 1)
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        indeg[v] += 1
-        succ[u].append(v)
-    queue = deque(v for v in range(1, n + 1) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != n:
-        raise DirectedCycleError(f"edge list contains a directed cycle among {n - seen} vertices")
+def sink_first_labels(k: int, arcs: Iterable[Edge]) -> list[int]:
+    """Kahn's algorithm from the sinks up on vertices 0..k-1, smallest ready vertex first.
+
+    Vertices get labels 1, 2, ... in the order they are removed, so the
+    label drops along every arc.  A vertex on a directed cycle, or with a
+    path into one, is never removed and keeps label 0.
+    """
+    outdeg = [0] * k
+    sources_of: list[list[int]] = [[] for _ in range(k)]
+    for u, v in arcs:
+        outdeg[u] += 1
+        sources_of[v].append(u)
+    ready = [v for v in range(k) if outdeg[v] == 0]
+    label = [0] * k
+    assigned = 0
+    while ready:
+        v = heapq.heappop(ready)
+        assigned += 1
+        label[v] = assigned
+        for u in sources_of[v]:
+            outdeg[u] -= 1
+            if outdeg[u] == 0:
+                heapq.heappush(ready, u)
+    return label
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,9 @@ class Digraph:
             if (u, v) in seen:
                 raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        _check_acyclic(self.n, self.edges)
+        left = sink_first_labels(self.n, ((u - 1, v - 1) for u, v in self.edges)).count(0)
+        if left:
+            raise DirectedCycleError(f"edge list contains a directed cycle among {left} vertices")
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -164,22 +173,26 @@ class Subgraph:
     def is_full(self) -> bool:
         return len(self.mask) == len(self.parent.edges)
 
-    def complement_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.parent.edges)) if i not in self.mask)
-
 
 GraphLike = Digraph | Subgraph
 
 
 @dataclass(frozen=True)
 class ComponentStructure:
-    """Connected components of an underlying undirected graph.
+    """Connected components of an underlying undirected graph, with its path labelling.
 
-    Component ids are 0..count-1, ordered by smallest member vertex.
+    Component ids are 0..count-1, ordered by smallest member vertex.  The
+    search that finds them labels each vertex too, stepping +1 along every
+    edge and -1 against it, with the minimum of each component shifted to
+    0.  ``conflict`` is the first edge that reaches an already labelled
+    vertex with a different label, as (vertex, existing, implied, edge);
+    the labels mean nothing when there is one.
     """
 
     component_of: tuple[int, ...]
     count: int
+    labels: tuple[int, ...] = field(compare=False)
+    conflict: tuple[int, int, int, Edge] | None = field(compare=False)
 
     def component(self, v: int) -> int:
         return self.component_of[v - 1]
@@ -193,27 +206,39 @@ class ComponentStructure:
 
 
 def undirected_components(g: GraphLike) -> ComponentStructure:
-    """Components of the underlying undirected graph; isolated vertices are singletons."""
+    """Components and path labelling of the underlying undirected graph, in one breadth-first search.
+
+    Isolated vertices are singletons.
+    """
     n = g.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    adj: list[list[tuple[int, int, Edge]]] = [[] for _ in range(n + 1)]
     for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u].append((v, 1, (u, v)))
+        adj[v].append((u, -1, (u, v)))
     comp = [-1] * (n + 1)
+    label = [0] * (n + 1)
+    conflict = None
     count = 0
     for s in range(1, n + 1):
         if comp[s] >= 0:
             continue
         comp[s] = count
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if comp[w] < 0:
-                    comp[w] = count
-                    queue.append(w)
+        queue = [s]
+        for v in queue:  # the list grows as it is read: first in, first out
+            for x, step, edge in adj[v]:
+                implied = label[v] + step
+                if comp[x] < 0:
+                    comp[x] = count
+                    label[x] = implied
+                    queue.append(x)
+                elif conflict is None and label[x] != implied:
+                    conflict = (x, label[x], implied, edge)
+        base = min(label[v] for v in queue)
+        if base:
+            for v in queue:
+                label[v] -= base
         count += 1
-    return ComponentStructure(tuple(comp[1:]), count)
+    return ComponentStructure(tuple(comp[1:]), count, tuple(label[1:]), conflict)
 
 
 def is_alternating(g: GraphLike) -> bool:
@@ -336,8 +361,3 @@ def load_digraph(path) -> Digraph:
 
 def load_subgraph(path, parent: Digraph) -> Subgraph:
     return parse_subgraph(_read_ascii(path), parent)
-
-
-def save_edge_list(g: GraphLike, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_edge_list(g))

@@ -153,12 +153,15 @@ def affine_dimension(points: Iterable[Point]) -> int:
 
 
 def _face_lp(vs: VertexSet, included: frozenset[int], want_witness: bool):
-    """Decide whether the vertex subset is a face; optionally return (c, c0).
+    """Decide whether the vertex subset is a face: (False, None), or True and its witness or dimension.
 
     Maximises the separation margin delta subject to c.v = c.v0 on the
     subset, c.v >= c.v0 + delta off it, and -1 <= c_i <= 1; the subset is a
-    face exactly when the optimum is positive.  Conventions: the empty set
-    and the full vertex set are faces.
+    face exactly when the optimum is positive.  A face comes with the
+    witness (c, c0) when one is wanted, and otherwise with its dimension,
+    n minus the size of the nullspace of the subset's differences.
+    Conventions: the empty set and the full vertex set are faces, always
+    returned with a witness.
 
     The program is skipped when, for an excluded vertex v_j, v_j - v0 is
     orthogonal to every nullspace vector of the subset's differences.  Then
@@ -211,10 +214,10 @@ def _face_lp(vs: VertexSet, included: frozenset[int], want_witness: bool):
     if res.status == UNBOUNDED:
         raise RuntimeError("separation program is unbounded; input points are inconsistent")
     is_face = res.status == STOPPED or res.value > 0
-    if not want_witness:
-        return is_face, None
     if not is_face:
         return False, None
+    if not want_witness:
+        return True, n - d
     y = [res.x[r] - res.x[d + r] for r in range(d)]
     c = tuple(sum(Fraction(b[i]) * y[r] for r, b in enumerate(basis)) for i in range(n))
     c0 = sum(ci * x for ci, x in zip(c, v0))
@@ -294,19 +297,20 @@ class FaceLattice:
 
 
 def enumerate_faces_bruteforce(g: Digraph, cap: int = 16) -> FaceLattice:
-    """Test every vertex subset with the separation program; desk scale only."""
+    """Test every vertex subset with the separation program; desk scale only.
+
+    Each face's dimension comes from the nullspace its test builds; only the
+    whole polytope's is computed apart, once.
+    """
     vs = polytope_vertices(g)
     k = len(vs.points)
     if k > cap:
         raise TooLargeError(f"{k} vertices exceeds the cap of {cap}")
-    faces: dict[frozenset[int], int] = {}
-    for mask in range(1 << k):
+    faces: dict[frozenset[int], int] = {frozenset(): -1}
+    for mask in range(1, (1 << k) - 1):
         included = frozenset(i for i in range(k) if mask >> i & 1)
-        ok, _ = _face_lp(vs, included, want_witness=False)
+        ok, dim = _face_lp(vs, included, want_witness=False)
         if ok:
-            if included:
-                dim = affine_dimension([vs.points[i] for i in included])
-            else:
-                dim = -1
             faces[included] = dim
+    faces[frozenset(range(k))] = affine_dimension(vs.points)
     return FaceLattice(vs, faces)

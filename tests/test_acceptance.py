@@ -211,8 +211,9 @@ def test_criterion_9_faces_are_facet_intersections(small_universe):
 
 
 def test_note_dimension_formula_for_path_consistent_subgraphs(small_universe):
-    # Not an acceptance criterion: records how often dim = n - r - 1 holds for
-    # path-consistent subgraphs beyond the alternating case it is known for.
+    # Not an acceptance criterion: dim = n - r - 1 holds for every
+    # path-consistent subgraph, not only the alternating ones, because H's
+    # weights w give w.p = -1 on every point p of H.  Enumeration relies on it.
     held = total = 0
     for g in small_universe:
         for h in subgraphs(g):
@@ -227,4 +228,4 @@ def test_note_dimension_formula_for_path_consistent_subgraphs(small_universe):
         f"note: dimension formula n - r - 1 held on {held}/{total} path-consistent "
         f"nonempty subgraphs over the n <= 4 universe"
     )
-    assert total > 0
+    assert total > 0 and held == total

@@ -131,6 +131,19 @@ class TestKn:
         # Binomial part includes the improper face, so dim 2 counts 1.
         assert json.loads(out)["fvector"] == {"0": 4, "1": 4, "2": 1}
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_fvector_agrees_with_the_library_and_the_oracle(self, capsys, n):
+        from rootpoly.enumeration import fvector
+        from rootpoly.graphs import complete_graph
+
+        kn = complete_graph(n)
+        for trivial in ([], ["--include-trivial-faces"]):
+            code, out, _ = run(capsys, "kn", str(n), "--fvector", "--json", *trivial)
+            formula = fvector(kn, mode="formula", include_empty=bool(trivial), include_improper=True)
+            oracle = fvector(kn, mode="oracle", include_empty=bool(trivial), include_improper=True)
+            assert code == 0 and json.loads(out)["fvector"] == {str(d): c for d, c in formula.counts}
+            assert formula == oracle
+
 
 class TestFVector:
     def test_square_pyramid(self, files, capsys):
@@ -182,6 +195,15 @@ class TestVerify:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: --max-edges")
+
+    def test_unreachable_edge_cap_is_rejected(self):
+        # An edgeless DAG on 10 vertices is one draw in 2^45: refused at once.
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootpoly", "verify", "--random", "10", "--max-edges", "0"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: edge cap 0 ")
 
 
 class TestNonAsciiInput:

@@ -1,8 +1,17 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
-from rootpoly.crosscheck import all_dags, check_graph, check_graphs, random_dag, random_dags
+from rootpoly.crosscheck import (
+    UnreachableCapError,
+    all_dags,
+    check_graph,
+    check_graphs,
+    random_dag,
+    random_dags,
+)
 from rootpoly.graphs import Digraph, complete_graph, validate
 
 
@@ -28,6 +37,29 @@ class TestRandomDags:
         for _ in range(50):
             g = random_dag(rng, 6, max_edges=4)
             assert len(g.edges) <= 4
+
+    def test_refuses_a_cap_almost_no_draw_meets(self):
+        # On 7 vertices (21 pairs), at most one edge has odds 22 / 2^21, below
+        # 2^-16; at most two edges has odds 232 / 2^21, above it.
+        with pytest.raises(UnreachableCapError):
+            random_dag(random.Random(0), 7, max_edges=1)
+        assert len(random_dag(random.Random(0), 7, max_edges=2).edges) <= 2
+
+    def test_huge_cap_is_tested_quickly(self):
+        # The odds test sums at most pairs + 1 binomials, whatever the cap; a
+        # subprocess with a timeout keeps a regression from hanging the suite.
+        code = ("import random; from rootpoly.crosscheck import random_dag; "
+                "assert random_dag(random.Random(0), 7, 10**12) == random_dag(random.Random(0), 7)")
+        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+
+    def test_accepted_caps_draw_the_same_graphs(self):
+        # The first graphs of criterion 2's n = 6 sample, as drawn before
+        # caps were tested.
+        assert [g.edges for g in random_dags(20260502, 6, 3, max_edges=10)] == [
+            ((3, 2), (3, 6), (3, 4), (1, 2), (1, 5), (1, 6), (2, 6), (5, 6)),
+            ((6, 4), (3, 1), (3, 5), (4, 1), (4, 5)),
+            ((1, 4), (1, 5), (3, 4), (3, 5), (3, 2), (3, 6), (4, 5), (4, 2), (5, 6)),
+        ]
 
     def test_outputs_are_valid_dags(self):
         for g in random_dags(3, 6, 20):

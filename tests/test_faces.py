@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from rootpoly.faces import (
     ConflictObstruction,
     CycleObstruction,
+    HComp,
     InadmissibleCycleObstruction,
     LoopObstruction,
     WeightFunction,
@@ -340,3 +341,62 @@ class TestDimensions:
     def test_non_alternating_rejected(self, k3):
         with pytest.raises(NotAlternatingError):
             q_dimension_alternating(k3)
+
+
+class TestOneAnalysisPerPair:
+    """Each (G, H) gets one breadth-first search, one contraction, one Kahn
+    pass and one Bellman-Ford run, whatever is asked of it."""
+
+    @pytest.fixture
+    def stages(self, monkeypatch):
+        import sys
+        from collections import Counter
+
+        counts = Counter()
+
+        def counting(stage, fn):
+            def wrapper(*args, **kwargs):
+                counts[stage] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("rootpoly."):
+                continue
+            for attr, stage in (("undirected_components", "bfs"), ("sink_first_labels", "kahn"),
+                                ("_bellman_ford", "bellman_ford")):
+                if attr in vars(module):
+                    monkeypatch.setattr(module, attr, counting(stage, vars(module)[attr]))
+        contraction = HComp.__dict__["edges"]
+        monkeypatch.setattr(contraction, "func", counting("contraction", contraction.func))
+        return counts
+
+    @pytest.mark.parametrize("sub,origin,code", [
+        ("3 1\n1 2\n", "--with-origin", 0),
+        ("3 1\n1 2\n", "--without-origin", 0),
+        ("3 1\n1 3\n", "--with-origin", 1),
+        ("3 3\n1 2\n1 3\n2 3\n", "--without-origin", 1),
+        ("3 0\n", "--without-origin", 0),
+    ])
+    def test_cli_check(self, tmp_path, capsys, stages, sub, origin, code):
+        from rootpoly.cli import main
+
+        (tmp_path / "g.txt").write_text("3 3\n1 2\n1 3\n2 3\n")
+        (tmp_path / "h.txt").write_text(sub)
+        assert main(["check", str(tmp_path / "g.txt"), str(tmp_path / "h.txt"), origin, "--json"]) == code
+        capsys.readouterr()
+        # One Kahn pass validates G as it is read.
+        assert stages["bfs"] == 1 and stages["contraction"] <= 1
+        assert stages["kahn"] <= 2 and stages["bellman_ford"] <= 1
+
+    def test_check_graph(self, square_graph, stages):
+        from rootpoly.crosscheck import check_graph
+        from rootpoly.hull import enumerate_faces_bruteforce
+
+        lattice = enumerate_faces_bruteforce(square_graph)
+        report = check_graph(square_graph, lattice)
+        assert report.ok and report.certificates > 0
+        masks = 1 << len(square_graph.edges)
+        assert stages["bfs"] == masks and stages["contraction"] <= masks
+        assert stages["kahn"] <= masks and stages["bellman_ford"] <= masks
