@@ -47,7 +47,6 @@ from .faces import (
     is_q_face,
     is_tilde_face,
     loopless_partition,
-    path_conflict,
     path_consistency,
     q_dimension_alternating,
     q_obstruction,

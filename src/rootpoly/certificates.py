@@ -109,26 +109,21 @@ def q_certificate(g: Digraph, h: Subgraph) -> Certificate:
 
 
 def verify_certificate(g: Digraph, h: Subgraph, cert: Certificate, contains_origin: bool) -> bool:
-    """Exact check of the supporting-hyperplane conditions for the claimed face."""
+    """Exact check of the supporting-hyperplane conditions for the claimed face.
+
+    Every point p of the polytope needs c.p = c0 when the face holds it and
+    c.p > c0 otherwise; the origin is the point with c.p = 0.
+    """
     if len(cert.c) != g.n:
         return False
     c, c0 = cert.c, cert.c0
-    if contains_origin:
-        if c0 != 0:
-            return False
-        for i, (u, v) in enumerate(g.edges):
-            if i in h.mask:
-                if c[u - 1] != c[v - 1]:
-                    return False
-            elif c[u - 1] <= c[v - 1]:
-                return False
-        return True
-    if c0 >= 0:
+    if (c0 != 0) if contains_origin else (c0 >= 0):
         return False
+    level = [x + c0 for x in c]  # c_v + c0, one addition per vertex rather than per edge
     for i, (u, v) in enumerate(g.edges):
         if i in h.mask:
-            if c[u - 1] != c[v - 1] + c0:
+            if c[u - 1] != level[v - 1]:
                 return False
-        elif c[u - 1] <= c[v - 1] + c0:
+        elif c[u - 1] <= level[v - 1]:
             return False
     return True

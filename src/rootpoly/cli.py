@@ -3,13 +3,15 @@
 Commands: check, cert, enumerate, kn, fvector, verify.  Graphs are read
 from edge-list files ("n m" header, then one "u v" line per edge).  Exit
 codes: 0 for a positive answer / clean run, 1 for a negative answer or any
-cross-check disagreement, 2 for input errors.
+cross-check disagreement, 2 for input errors, unreadable files included.
+A reader closing the pipe early silences the rest, not the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -23,21 +25,12 @@ from .faces import (
     LoopObstruction,
     build_hcomp,
 )
-from .graphs import Digraph, GraphError, Subgraph, load_digraph, load_subgraph
+from .graphs import GraphError, load_digraph, load_subgraph
 from .hull import TooLargeError
 
 
 class InputError(Exception):
     pass
-
-
-def _load_pair(graph_path: str, sub_path: str) -> tuple[Digraph, Subgraph]:
-    try:
-        g = load_digraph(graph_path)
-        h = load_subgraph(sub_path, g)
-    except (OSError, GraphError) as exc:
-        raise InputError(str(exc)) from exc
-    return g, h
 
 
 def _diagnostic_dict(obs) -> dict:
@@ -62,9 +55,11 @@ def _diagnostic_dict(obs) -> dict:
     raise TypeError(f"unknown diagnostic {obs!r}")
 
 
-def _query_result(g: Digraph, h: Subgraph, contains_origin: bool) -> dict:
+def _query_result(args) -> dict:
+    g = load_digraph(args.graph)
+    h = load_subgraph(args.subgraph, g)
     hc = build_hcomp(g, h)
-    if contains_origin:
+    if args.with_origin:
         obs = hc.tilde_obstruction()
         kind = "face-with-origin"
     else:
@@ -72,8 +67,8 @@ def _query_result(g: Digraph, h: Subgraph, contains_origin: bool) -> dict:
         kind = "face-without-origin"
     result: dict = {"query": kind, "face": obs is None}
     if obs is None:
-        cert = certify(hc, contains_origin)
-        if not verify_certificate(g, h, cert, contains_origin):
+        cert = certify(hc, args.with_origin)
+        if not verify_certificate(g, h, cert, args.with_origin):
             raise RuntimeError("emitted certificate failed verification")
         result["certificate"] = cert.to_json_dict()
     else:
@@ -82,16 +77,20 @@ def _query_result(g: Digraph, h: Subgraph, contains_origin: bool) -> dict:
 
 
 def _print_doc(doc: dict, as_json: bool, text_lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    """Write a command's output; a reader that closes the pipe early gets the rest discarded."""
+    try:
+        if as_json:
+            print(json.dumps(doc, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_check(args) -> int:
-    g, h = _load_pair(args.graph, args.subgraph)
-    result = _query_result(g, h, args.with_origin)
+    result = _query_result(args)
     if result["face"]:
         lines = [f"{result['query']}: face", f"certificate: {json.dumps(result['certificate'])}"]
     else:
@@ -101,13 +100,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cert(args) -> int:
-    g, h = _load_pair(args.graph, args.subgraph)
-    result = _query_result(g, h, args.with_origin)
-    if result["face"]:
-        print(json.dumps(result["certificate"], indent=2))
-        return 0
-    print(json.dumps({"diagnostic": result["diagnostic"]}, indent=2))
-    return 1
+    result = _query_result(args)
+    doc = result["certificate"] if result["face"] else {"diagnostic": result["diagnostic"]}
+    _print_doc(doc, True, [])
+    return 0 if result["face"] else 1
 
 
 def _face_json(face) -> dict:
@@ -119,28 +115,18 @@ def _face_json(face) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        g = load_digraph(args.graph)
-    except (OSError, GraphError) as exc:
-        raise InputError(str(exc)) from exc
+    g = load_digraph(args.graph)
     trivial = args.include_trivial_faces
     faces = enumerate_faces(g, max_edges=args.max_edges, include_empty=trivial,
                             include_improper=True, jobs=args.jobs)
-    counts: dict[int, int] = {}
-    for f in faces:
-        if not trivial and f.descriptor.contains_origin and f.descriptor.subgraph.is_full():
-            continue
-        counts[f.dim] = counts.get(f.dim, 0) + 1
+    counts = Counter(f.dim for f in faces
+                     if trivial or not (f.descriptor.contains_origin and f.descriptor.subgraph.is_full()))
     doc = {
         "faces": [_face_json(f) for f in faces],
         "fvector": {str(d): c for d, c in sorted(counts.items())},
     }
     lines = [f"{len(faces)} faces (improper included)"]
-    lines += [
-        f"  dim {f.dim}: edges {[list(e) for e in f.descriptor.subgraph.edges]}"
-        f" origin={str(f.descriptor.contains_origin).lower()}"
-        for f in faces
-    ]
+    lines += [f"  dim {f['dim']}: edges {f['edges']} origin={str(f['origin']).lower()}" for f in doc["faces"]]
     lines.append("f-vector " + json.dumps(doc["fvector"]))
     _print_doc(doc, args.json, lines)
     return 0
@@ -178,10 +164,7 @@ def _cmd_kn(args) -> int:
 
 
 def _cmd_fvector(args) -> int:
-    try:
-        g = load_digraph(args.graph)
-    except (OSError, GraphError) as exc:
-        raise InputError(str(exc)) from exc
+    g = load_digraph(args.graph)
     fv = fvector(g, mode="oracle", include_empty=args.include_trivial_faces,
                  include_improper=args.include_trivial_faces, max_edges=args.max_edges)
     doc = {"fvector": {str(d): c for d, c in fv.counts}}
@@ -202,10 +185,7 @@ def _cmd_verify(args) -> int:
         graphs = crosscheck.random_dags(args.seed, args.random, args.count, args.max_edges)
         source = f"random n={args.random} count={args.count} max-edges={args.max_edges} seed={args.seed}"
     else:
-        try:
-            g = load_digraph(args.graph)
-        except (OSError, GraphError) as exc:
-            raise InputError(str(exc)) from exc
+        g = load_digraph(args.graph)
         if len(g.edges) + 1 > 16:
             raise InputError("graph too large for the brute-force oracle (more than 15 edges)")
         graphs = [g]
@@ -306,7 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, TooLargeError, NotAFaceError, crosscheck.UnreachableCapError) as exc:
+    except (OSError, GraphError, InputError, TooLargeError, NotAFaceError, crosscheck.UnreachableCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

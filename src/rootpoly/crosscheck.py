@@ -9,6 +9,7 @@ exhaustive enumeration of labeled DAGs, or from a seeded random generator.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from math import comb
@@ -79,8 +80,9 @@ def check_graph(g: Digraph, lattice: FaceLattice | None = None) -> CheckReport:
 
 
 def check_graphs(graphs: list[Digraph], jobs: int = 1) -> CheckReport:
-    """Run check_graph over many ambient graphs, optionally on a worker pool."""
+    """Run check_graph over many ambient graphs, optionally on a worker pool of at most one process per CPU."""
     total = CheckReport()
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(graphs) < 2:
         for g in graphs:
             total.merge(check_graph(g))

@@ -12,6 +12,7 @@ test suite; ``kn_face_counts`` is the one f-vector formula for K_n, behind
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -95,13 +96,15 @@ def enumerate_faces(
     """All faces of the polytope of G, one descriptor each, sorted canonically.
 
     Loops over every spanning subgraph, so the edge count is capped.  The
-    mask range splits across a worker pool when jobs > 1; the canonical
-    final sort makes the result independent of the split.
+    mask range splits across a worker pool of at most one process per CPU
+    when jobs > 1; the canonical final sort makes the result independent of
+    the split.
     """
     m = len(g.edges)
     if m > max_edges:
         raise TooLargeError(f"{m} edges exceeds the enumeration cap of {max_edges}")
     total = 1 << m
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 1024:
         out = _faces_in_mask_range((g, 0, total, include_empty, include_improper))
     else:
@@ -224,17 +227,21 @@ def kn_face_data(n: int) -> list[KnFaceDatum]:
 
 
 def kn_face_counts(n: int, contains_origin: bool) -> Counter:
-    """Face counts of the polytope of K_n by dimension, straight from the generators.
+    """Face counts of the polytope of K_n by dimension, counted from the generators without listing them.
 
     With the origin the improper face is counted: a composition of [n] into
     n - d intervals gives a face of dimension d.  Without it the empty face
     is not: a datum using u vertices in b blocks gives one of dimension
-    u - b - 1.
+    u - b - 1.  The sorted used vertices split into b runs of at least 2, each
+    from L to R with free middle vertices: C(n, u) C(u-b-1, b-1) 2^(u-2b) data.
     """
     if contains_origin:
         return Counter({d: comb(n - 1, d) for d in range(n)})
-    return Counter(sum(len(left) + len(right) for left, right in datum.blocks) - len(datum.blocks) - 1
-                   for datum in kn_face_data(n))
+    counts: Counter = Counter()
+    for u in range(2, n + 1):
+        for b in range(1, u // 2 + 1):
+            counts[u - b - 1] += comb(n, u) * comb(u - b - 1, b - 1) << (u - 2 * b)
+    return counts
 
 
 def kn_q_faces(n: int) -> list[Subgraph]:

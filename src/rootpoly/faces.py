@@ -13,13 +13,15 @@ Both questions, their witnesses and the certificates read one analysis of
 the pair, ``build_hcomp(g, h)``: a single breadth-first search of H, then
 the contraction, its sink-first order and Bellman-Ford, each at most once
 and only when asked for.  Negative answers come with small checkable
-witnesses used by the CLI.
+witnesses used by the CLI; a directed or inadmissible cycle is read off the
+Kahn pass or the Bellman-Ford predecessors by one walk, ``_walk_to_cycle``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .graphs import (
     ComponentStructure,
@@ -85,10 +87,14 @@ class HComp:
         return next((e for e in self.edges if e.source == e.target), None)
 
     @cached_property
+    def removal_order(self) -> list[int]:
+        """Kahn's sink-first labels of the components, 0 on every one on a directed cycle or upstream of one."""
+        return sink_first_labels(self.vertex_count, ((e.source, e.target) for e in self.edges))
+
+    @cached_property
     def order(self) -> list[int] | None:
         """Component labels 1..k dropping along every contracted edge, or None on a directed cycle."""
-        labels = sink_first_labels(self.vertex_count, ((e.source, e.target) for e in self.edges))
-        return None if 0 in labels else labels
+        return None if 0 in self.removal_order else self.removal_order
 
     @cached_property
     def weights(self) -> WeightFunction | None:
@@ -107,7 +113,7 @@ class HComp:
         if self.loop is not None:
             return LoopObstruction(self.loop.g_edge)
         if self.order is None:
-            return CycleObstruction(tuple(e.g_edge for e in _find_directed_cycle(self)))
+            return CycleObstruction(tuple(e.g_edge for e in _directed_cycle(self)))
         return None
 
     def is_q_face(self) -> bool:
@@ -198,42 +204,36 @@ def build_hcomp(g: Digraph, h: Subgraph) -> HComp:
     return HComp(g, h, undirected_components(h))
 
 
-def _find_directed_cycle(hc: HComp) -> list[HCompEdge] | None:
-    """First directed cycle of a loopless contraction in DFS order."""
-    k = hc.vertex_count
-    adj: list[list[int]] = [[] for _ in range(k)]
+def _walk_to_cycle(start: int, step: Callable[[int], tuple[int, int]]) -> list[int]:
+    """Follow ``step(v) -> (edge index, next vertex)`` from start until a vertex repeats.
+
+    Returns the indices of the edges on the closing cycle, in walk order
+    from the repeated vertex.
+    """
+    position: dict[int, int] = {}
+    walk: list[int] = []
+    v = start
+    while v not in position:
+        position[v] = len(walk)
+        idx, v = step(v)
+        walk.append(idx)
+    return walk[position[v]:]
+
+
+def _directed_cycle(hc: HComp) -> list[HCompEdge]:
+    """A directed cycle of a loopless contraction that Kahn's pass could not order.
+
+    The components Kahn leaves at 0 lie on a cycle or upstream of one, so
+    each has an edge into another.  From the smallest of them, leave every
+    component by its first such edge until one repeats: the cycle a
+    depth-first search from the first component would close.
+    """
+    left = hc.removal_order
+    step: dict[int, tuple[int, int]] = {}
     for idx, e in enumerate(hc.edges):
-        adj[e.source].append(idx)
-    color = [0] * k  # 0 unvisited, 1 on stack, 2 done
-    entered_by: dict[int, int] = {}
-    for root in range(k):
-        if color[root]:
-            continue
-        color[root] = 1
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            v, ptr = stack[-1]
-            if ptr < len(adj[v]):
-                stack[-1] = (v, ptr + 1)
-                idx = adj[v][ptr]
-                t = hc.edges[idx].target
-                if color[t] == 0:
-                    color[t] = 1
-                    entered_by[t] = idx
-                    stack.append((t, 0))
-                elif color[t] == 1:
-                    cycle = [idx]
-                    x = v
-                    while x != t:
-                        pe = entered_by[x]
-                        cycle.append(pe)
-                        x = hc.edges[pe].source
-                    cycle.reverse()
-                    return [hc.edges[i] for i in cycle]
-            else:
-                color[v] = 2
-                stack.pop()
-    return None
+        if left[e.source] == 0 == left[e.target] and e.source not in step:
+            step[e.source] = (idx, e.target)
+    return [hc.edges[i] for i in _walk_to_cycle(left.index(0), step.__getitem__)]
 
 
 # --- the origin question -----------------------------------------------------
@@ -278,12 +278,6 @@ def path_consistency(h: GraphLike) -> WeightFunction | None:
     return _weight_function(undirected_components(h))
 
 
-def path_conflict(h: GraphLike) -> ConflictObstruction | None:
-    """The first labelling conflict, or None when H is path consistent."""
-    conflict = undirected_components(h).conflict
-    return None if conflict is None else ConflictObstruction(*conflict)
-
-
 def weight_decrease(w: WeightFunction, e: HCompEdge) -> int:
     """Weight drop along the G-edge labelling a contracted edge: w(source) - w(target)."""
     u, v = e.g_edge
@@ -321,24 +315,18 @@ def _bellman_ford(hc: HComp, w: WeightFunction) -> tuple[list[int], list[HCompEd
                 changed = True
         if not changed:
             return dist, None
+
+    def back(x: int) -> tuple[int, int]:
+        idx = pred[x]
+        if idx is None:
+            raise AssertionError("predecessor chain broke before reaching a cycle")
+        return idx, hc.edges[idx].source
+
     for idx, e in enumerate(hc.edges):
         if dist[e.source] + weights[idx] < dist[e.target]:
             pred[e.target] = idx
-            # Walk the predecessor chain; within k+1 steps it must revisit.
-            order: list[int] = []
-            position: dict[int, int] = {}
-            x = e.target
-            while x not in position:
-                position[x] = len(order)
-                order.append(x)
-                back = pred[x]
-                if back is None:
-                    raise AssertionError("predecessor chain broke before reaching a cycle")
-                x = hc.edges[back].source
-            cycle_vertices = order[position[x]:]
-            cycle = [pred[v] for v in cycle_vertices]
-            cycle_edges = [hc.edges[i] for i in reversed(cycle)]  # type: ignore[index]
-            return dist, cycle_edges
+            # The predecessor chain revisits a vertex within k+1 steps.
+            return dist, [hc.edges[i] for i in reversed(_walk_to_cycle(e.target, back))]
     return dist, None
 
 

@@ -47,6 +47,8 @@ class OverlappingPartsError(GraphError):
 
 Edge = tuple[int, int]
 
+MAX_VERTICES = 100_000  # the most vertices an edge-list header may declare
+
 
 def sink_first_labels(k: int, arcs: Iterable[Edge]) -> list[int]:
     """Kahn's algorithm from the sinks up on vertices 0..k-1, smallest ready vertex first.
@@ -322,6 +324,8 @@ def _parse_lines(text: str) -> tuple[int, list[Edge]]:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphError(f"bad header {' '.join(header)!r}") from exc
+    if n > MAX_VERTICES:
+        raise GraphError(f"header declares {n} vertices, above the limit of {MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise GraphError(f"header declares {m} edges but {len(rows) - 1} follow")
     edges = []

@@ -206,6 +206,49 @@ class TestVerify:
         assert proc.stderr.startswith("error: edge cap 0 ")
 
 
+class TestOutputBoundary:
+    def test_reader_closing_the_pipe_early(self, tmp_path):
+        # `rootpoly kn 10 | head -1`: the rest of the listing is dropped
+        # quietly and the command keeps its own exit code.
+        with open(tmp_path / "err.txt", "w+b") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "rootpoly", "kn", "10"],
+                                    stdout=subprocess.PIPE, stderr=err)
+            try:
+                assert proc.stdout.readline() == b"32031 generated faces\n"
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()
+            err.seek(0)
+            assert err.read() == b""
+
+    def test_cert_goes_through_the_same_writer(self, files, monkeypatch, capsys):
+        import rootpoly.cli as cli
+
+        docs = []
+        monkeypatch.setattr(cli, "_print_doc", lambda doc, as_json, lines: docs.append((doc, as_json)))
+        assert main(["cert", files["k3"], files["h12"], "--with-origin"]) == 0
+        assert docs == [({"c": ["2", "2", "1"], "c0": "0"}, True)]
+
+    def test_huge_vertex_count_in_header(self, tmp_path):
+        # A 10-byte file once asked for two million per-vertex entries.
+        huge = tmp_path / "huge.txt"
+        huge.write_text("2000000 0\n")
+        proc = subprocess.run([sys.executable, "-m", "rootpoly", "fvector", str(huge)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: header declares 2000000 vertices, above the limit of 100000\n"
+
+    def test_kn_14_fvector_counts_without_listing(self):
+        proc = subprocess.run([sys.executable, "-m", "rootpoly", "kn", "14", "--fvector", "--json"],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0 and proc.stderr == ""
+        fv = {int(d): c for d, c in json.loads(proc.stdout)["fvector"].items()}
+        assert min(fv) == 0 and max(fv) == 13 and fv[13] == 1
+        # Euler-Poincare with the empty face, which this count leaves out.
+        assert sum((-1) ** d * c for d, c in fv.items()) == 1
+
+
 class TestNonAsciiInput:
     def test_graph_file(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -87,3 +87,12 @@ class TestCheckGraph:
             parallel.certificates,
         )
         assert serial.ok and parallel.ok
+
+    def test_pool_size_is_capped_at_the_cpu_count(self, recording_pool, monkeypatch):
+        import rootpoly.crosscheck as crosscheck
+
+        monkeypatch.setattr(crosscheck, "Pool", recording_pool)
+        graphs = [complete_graph(2), complete_graph(3), validate(3, [(1, 3)])]
+        report = check_graphs(graphs, jobs=64)
+        assert recording_pool.sizes == [2]
+        assert report.ok and report.checks == check_graphs(graphs).checks == 2 * (2 + 8 + 2)

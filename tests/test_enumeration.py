@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from rootpoly.enumeration import (
     facets_alternating,
     facets_transitively_closed,
     fvector,
+    kn_face_counts,
     kn_face_data,
     kn_q_faces,
     kn_tilde_faces,
@@ -83,6 +85,24 @@ class TestEnumerateFaces:
         merged.sort(key=lambda f: (f.dim, f.descriptor.contains_origin, f.descriptor.subgraph.indices))
         assert merged == serial
         assert enumerate_faces(g, jobs=2) == serial
+
+    @pytest.mark.parametrize("jobs,size", [(64, 2), (2, 2)])
+    def test_pool_size_is_capped_at_the_cpu_count(self, recording_pool, monkeypatch, jobs, size):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+        g = complete_graph(5)
+        assert enumerate_faces(g, jobs=jobs) == enumerate_faces(g)
+        assert recording_pool.sizes == [size]
+
+    def test_one_cpu_runs_serially(self, recording_pool, monkeypatch):
+        import multiprocessing
+        import os
+
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        enumerate_faces(complete_graph(5), jobs=8)
+        assert recording_pool.sizes == []
 
     def test_matches_brute_force(self, k3, square_graph):
         for g in (k3, square_graph):
@@ -266,6 +286,14 @@ class TestFVector:
     def test_formula_requires_complete_graph(self, square_graph):
         with pytest.raises(ValueError):
             fvector(square_graph, mode="formula")
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kn_counts_match_the_generated_data(self, n):
+        # The closed form counts the data that kn_face_data lists.
+        listed = Counter(sum(len(left) + len(right) for left, right in d.blocks) - len(d.blocks) - 1
+                         for d in kn_face_data(n))
+        assert kn_face_counts(n, False) == listed
+        assert sum(kn_face_counts(n, True).values()) == len(kn_tilde_faces(n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_formula_matches_oracle_for_kn(self, n):

@@ -21,6 +21,8 @@ from rootpoly.faces import (
     tilde_dimension,
     tilde_obstruction,
     weight_decrease,
+    _directed_cycle,
+    _walk_to_cycle,
 )
 from rootpoly.graphs import (
     Digraph,
@@ -124,6 +126,61 @@ class TestTildeFace:
                     for (_, b), (c, _) in zip(arcs, arcs[1:] + arcs[:1]):
                         assert b == c
                     assert all(e in g.edge_set and e not in h.edge_set for e in obs.edges)
+
+
+def dfs_first_cycle(hc):
+    """Reference: the first directed cycle a depth-first search closes, roots and edges in order."""
+    out = [[] for _ in range(hc.vertex_count)]
+    for idx, e in enumerate(hc.edges):
+        out[e.source].append(idx)
+    state = [0] * hc.vertex_count  # 0 unvisited, 1 on the stack, 2 done
+    tree_path = []  # edge indices from the root to the vertex being visited
+
+    def visit(v):
+        state[v] = 1
+        for idx in out[v]:
+            t = hc.edges[idx].target
+            if state[t] == 1:
+                path = tree_path + [idx]
+                return path[next(i for i, j in enumerate(path) if hc.edges[j].source == t):]
+            if state[t] == 0:
+                tree_path.append(idx)
+                found = visit(t)
+                if found:
+                    return found
+                tree_path.pop()
+        state[v] = 2
+        return None
+
+    for root in range(hc.vertex_count):
+        if state[root] == 0:
+            found = visit(root)
+            if found:
+                return [hc.edges[i] for i in found]
+    return None
+
+
+class TestCycleWalk:
+    def test_walk_returns_the_closing_cycle(self):
+        # 0 -> 1 -> 2 -> 3 -> 1: the edge out of 0 leads in but is not on the cycle.
+        step = {0: (10, 1), 1: (11, 2), 2: (12, 3), 3: (13, 1)}.__getitem__
+        assert _walk_to_cycle(0, step) == [11, 12, 13]
+        assert _walk_to_cycle(2, step) == [12, 13, 11]
+        assert _walk_to_cycle(5, {5: (7, 5)}.__getitem__) == [7]
+
+    def test_directed_cycle_is_the_depth_first_cycle(self):
+        # Read off Kahn's leftovers, the witness is the cycle a depth-first
+        # search would have closed, edge for edge and in the same order.
+        from rootpoly.crosscheck import all_dags, random_dags
+
+        cycles = 0
+        for g in [g for n in range(1, 5) for g in all_dags(n)] + random_dags(41, 6, 12, max_edges=9):
+            for h in all_subgraphs(g):
+                hc = build_hcomp(g, h)
+                if hc.loop is None and hc.order is None:
+                    assert _directed_cycle(hc) == dfs_first_cycle(hc)
+                    cycles += 1
+        assert cycles > 1000
 
 
 class TestLooplessPartition:

@@ -98,6 +98,15 @@ class TestSerialization:
         with pytest.raises(GraphError):
             parse_digraph("3 2\n1 2\n")
 
+    def test_header_vertex_bound(self, monkeypatch):
+        import rootpoly.graphs as graphs
+
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+        assert parse_digraph("5 1\n1 5\n").n == 5
+        with pytest.raises(GraphError, match="6 vertices, above the limit of 5"):
+            parse_digraph("6 0\n")
+        assert Digraph(6, ()).n == 6  # graphs built in code are not bounded
+
     @given(dags())
     def test_round_trip_random(self, g):
         assert parse_digraph(format_edge_list(g)) == g
