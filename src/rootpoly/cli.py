@@ -138,6 +138,9 @@ def _cmd_kn(args) -> int:
         raise InputError("n must be positive")
     if n > 14:
         raise InputError("n above 14 generates too many faces to list")
+    if n > 10 and not args.fvector:
+        # A listing is built whole before it prints: kn 11 --json peaked near 1 GB.
+        raise InputError("listings stop at n = 10; kn N --fvector counts the faces up to n = 14")
     doc: dict = {"n": n}
     lines: list[str] = []
     if args.fvector:
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int, default=20)
     p.add_argument("--include-trivial-faces", action="store_true",
                    help="also report the empty face and count the improper face")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: the enumeration is sequential")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("kn", help="generate faces of the complete graph's polytope directly")
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     only.add_argument("--q-only", action="store_true", help="origin-free faces only")
     p.set_defaults(func=_cmd_kn)
 
-    p = sub.add_parser("fvector", help="f-vector of a graph's polytope via the combinatorial oracle")
+    p = sub.add_parser("fvector", help="f-vector of a graph's polytope, counted from its enumerated faces")
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
     p.add_argument("--max-edges", type=int, default=20)

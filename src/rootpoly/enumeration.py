@@ -1,8 +1,11 @@
 """Face enumeration and closed-form generators for special graph classes.
 
-General graphs are enumerated by running the combinatorial oracle over all
-spanning subgraphs, one analysis (``faces.build_hcomp``) per subgraph, with
-both face dimensions read from its component count.  Complete graphs,
+General graphs are enumerated by NextClosure over the points of the
+polytope: ``face_closure`` finds the smallest face holding a set of points
+by duality on difference constraints, one strong-component pass (plus
+Bellman-Ford when the origin is left out), so the cost grows with the
+number of faces, not with the 2^m spanning subgraphs.  Both face
+dimensions are read from the closure's component count.  Complete graphs,
 connected alternating graphs and transitively closed graphs additionally
 have direct generators (interval decompositions, independent-set splits,
 and vertex bipartitions) that are cross-checked against the oracle in the
@@ -12,11 +15,11 @@ test suite; ``kn_face_counts`` is the one f-vector formula for K_n, behind
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterable
 
 from .faces import FaceDescriptor, build_hcomp, is_alternating
 from .graphs import (
@@ -27,6 +30,7 @@ from .graphs import (
     complete_graph,
     induced,
     is_transitively_closed,
+    strong_components,
     undirected_components,
 )
 from .hull import TooLargeError
@@ -62,28 +66,54 @@ class EnumeratedFace:
     dim: int
 
 
-def _faces_in_mask_range(args: tuple) -> list[EnumeratedFace]:
-    """Faces among the subgraphs whose masks lie in [start, stop), read off one analysis each.
+def face_closure(g: Digraph, points: int) -> tuple[int, int]:
+    """The smallest face of the polytope of G holding the given points, and its strong component count.
 
-    With r undirected components of H, the origin-containing face has
-    dimension n - r.  The origin-free one has dimension n - r - 1 for every
-    path-consistent H: H's weights w satisfy w.(e_u - e_v) = -1 on each of
-    its points, a hyperplane missing the origin, and the points span the
-    (n - r)-dimensional space of the edge vectors of H.
+    Points are bits: bit 0 is the origin, bit i + 1 the point of edge i.  A
+    face holding the origin is {p : c.p = 0} for some c with c.p <= 0 on
+    every point, that is c_u <= c_v on every edge (u, v) and c_u = c_v on
+    the held ones.  Such a system forces c_u = c_v exactly on the edges
+    inside a strongly connected component of G plus the reversed held
+    edges.  A face avoiding the origin is {p : c.p = 1} with c.p <= 1 on
+    every point; with d = -c that is d_v <= d_u + 1 on every edge and
+    d_u <= d_v - 1 on the held ones.  When Bellman-Ford from a virtual
+    source finds a negative cycle, no such face exists and the origin
+    joins the points.  Otherwise the forced equalities are the arcs on a
+    zero-weight cycle: the edges of reduced cost 0 whose endpoints share a
+    strong component of the reduced-cost-0 arcs.
+
+    Each component is connected by the face's own edges, and no edge of
+    the face leaves one, so the count r returned is the number of
+    undirected components of the face's subgraph.
     """
-    g, start, stop, include_empty, include_improper = args
-    m = len(g.edges)
-    out: list[EnumeratedFace] = []
-    for mask in range(start, stop):
-        h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
-        hc = build_hcomp(g, h)
-        dim = g.n - hc.vertex_count
-        if hc.is_tilde_face():
-            if include_improper or not h.is_full():
-                out.append(EnumeratedFace(FaceDescriptor(h, True), dim))
-        if (h.mask or include_empty) and hc.is_q_face():
-            out.append(EnumeratedFace(FaceDescriptor(h, False), dim - 1))
-    return out
+    n = g.n
+    arcs = [(u - 1, v - 1) for u, v in g.edges]
+    held = [(v, u) for i, (u, v) in enumerate(arcs) if points >> (i + 1) & 1]
+    tight: Iterable[int] = range(len(arcs))
+    if not points & 1:
+        dist = [0] * n
+        for _ in range(n):
+            changed = False
+            for u, v in arcs:
+                if dist[u] + 1 < dist[v]:
+                    dist[v] = dist[u] + 1
+                    changed = True
+            for v, u in held:
+                if dist[v] - 1 < dist[u]:
+                    dist[u] = dist[v] - 1
+                    changed = True
+            if not changed:
+                break
+        else:
+            return face_closure(g, points | 1)
+        tight = [i for i, (u, v) in enumerate(arcs) if dist[u] + 1 == dist[v]]
+    comp, count = strong_components(n, [arcs[i] for i in tight] + held)
+    closed = points & 1
+    for i in tight:
+        u, v = arcs[i]
+        if comp[u] == comp[v]:
+            closed |= 2 << i
+    return closed, count
 
 
 def enumerate_faces(
@@ -95,30 +125,43 @@ def enumerate_faces(
 ) -> list[EnumeratedFace]:
     """All faces of the polytope of G, one descriptor each, sorted canonically.
 
-    Loops over every spanning subgraph, so the edge count is capped.  The
-    mask range splits across a worker pool of at most one process per CPU
-    when jobs > 1; the canonical final sort makes the result independent of
-    the split.
+    Every face is the smallest face holding its own points, so NextClosure
+    (Ganter 1984) over the m + 1 points, the origin first and then the
+    edges in edge order, meets each face exactly once and computes at most
+    m + 1 closures (``face_closure``) per face: the cost grows with the
+    number of faces, not with 2^m.  With r strong components the face has
+    dimension n - r with the origin.  Without it the face lies in the
+    hyperplane c.p = 1, which misses the origin, so its dimension is one
+    less, n - r - 1.  The edge count is still capped.  The listing is sequential, so ``jobs`` is
+    accepted and has no effect.
     """
     m = len(g.edges)
     if m > max_edges:
         raise TooLargeError(f"{m} edges exceeds the enumeration cap of {max_edges}")
-    total = 1 << m
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or total < 1024:
-        out = _faces_in_mask_range((g, 0, total, include_empty, include_improper))
-    else:
-        from multiprocessing import Pool
-
-        step = (total + 4 * jobs - 1) // (4 * jobs)
-        chunks = [
-            (g, lo, min(lo + step, total), include_empty, include_improper)
-            for lo in range(0, total, step)
-        ]
-        out = []
-        with Pool(jobs) as pool:
-            for part in pool.imap_unordered(_faces_in_mask_range, chunks):
-                out.extend(part)
+    everything = (2 << m) - 1
+    out: list[EnumeratedFace] = []
+    points, count = face_closure(g, 0)
+    while True:
+        h = Subgraph(g, frozenset(i for i in range(m) if points >> (i + 1) & 1))
+        if points & 1:
+            if include_improper or points != everything:
+                out.append(EnumeratedFace(FaceDescriptor(h, True), g.n - count))
+        elif points or include_empty:
+            out.append(EnumeratedFace(FaceDescriptor(h, False), g.n - count - 1))
+        if points == everything:
+            break
+        # The next closed set in lectic order: add the last point i that is
+        # missing, after dropping those past it, unless the closure then
+        # gains a point before i.
+        for i in range(m, -1, -1):
+            bit = 1 << i
+            if points & bit:
+                points ^= bit
+                continue
+            closed, count = face_closure(g, points | bit)
+            if not (closed ^ points) & (bit - 1):
+                points = closed
+                break
     out.sort(key=lambda f: (f.dim, f.descriptor.contains_origin, f.descriptor.subgraph.indices))
     return out
 
@@ -368,7 +411,7 @@ def fvector(
 ) -> FVector:
     """Face counts by dimension.
 
-    Mode "oracle" enumerates subgraphs through the combinatorial criteria;
+    Mode "oracle" counts the faces ``enumerate_faces`` lists;
     mode "formula" uses the complete-graph generators and requires G to be
     a complete graph with the canonical edge order.
     """

@@ -76,6 +76,50 @@ def sink_first_labels(k: int, arcs: Iterable[Edge]) -> list[int]:
     return label
 
 
+def strong_components(k: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
+    """Tarjan's strongly connected components of vertices 0..k-1, without recursion.
+
+    Returns (component id of each vertex, number of components).
+    """
+    succ: list[list[int]] = [[] for _ in range(k)]
+    for u, v in arcs:
+        succ[u].append(v)
+    index = [-1] * k
+    low = [0] * k
+    comp = [-1] * k  # -1 while a visited vertex is still on the stack
+    stack: list[int] = []
+    count = visited = 0
+    for root in range(k):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, rest = work[-1]
+            for x in rest:
+                if index[x] < 0:
+                    index[x] = low[x] = visited
+                    visited += 1
+                    stack.append(x)
+                    work.append((x, iter(succ[x])))
+                    break
+                if comp[x] < 0 and index[x] < low[v]:
+                    low[v] = index[x]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    x = -1
+                    while x != v:
+                        x = stack.pop()
+                        comp[x] = count
+                    count += 1
+    return comp, count
+
+
 @dataclass(frozen=True)
 class Digraph:
     """A loop-free directed acyclic graph with vertex set {1, ..., n} and an ordered edge list.

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -238,6 +239,15 @@ class TestOutputBoundary:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: header declares 2000000 vertices, above the limit of 100000\n"
+
+    def test_kn_listing_above_10_is_refused_at_once(self):
+        # The listing is built whole before it prints; kn 11 --json once took 18 s and 911 MB.
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "rootpoly", "kn", "11"],
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: listings stop at n = 10")
 
     def test_kn_14_fvector_counts_without_listing(self):
         proc = subprocess.run([sys.executable, "-m", "rootpoly", "kn", "14", "--fvector", "--json"],

@@ -9,6 +9,7 @@ from rootpoly.enumeration import (
     NotTransitivelyClosedError,
     datum_subgraph,
     enumerate_faces,
+    face_closure,
     faces_alternating_codim,
     facets_alternating,
     facets_transitively_closed,
@@ -71,29 +72,21 @@ class TestEnumerateFaces:
         with pytest.raises(TooLargeError):
             enumerate_faces(k3, max_edges=2)
 
-    def test_worker_pool_matches_serial(self):
+    def test_matches_the_sweep_merged_from_chunks(self, sweep):
         g = complete_graph(5)
-        serial = enumerate_faces(g, jobs=1)
-        # Force the pooled path despite the small mask space.
-        import rootpoly.enumeration as en
-
-        chunks = [
-            en._faces_in_mask_range((g, lo, min(lo + 100, 1 << 10), False, True))
-            for lo in range(0, 1 << 10, 100)
-        ]
+        chunks = [sweep(g, start=lo, stop=min(lo + 100, 1 << 10)) for lo in range(0, 1 << 10, 100)]
         merged = [f for part in chunks for f in part]
         merged.sort(key=lambda f: (f.dim, f.descriptor.contains_origin, f.descriptor.subgraph.indices))
-        assert merged == serial
-        assert enumerate_faces(g, jobs=2) == serial
+        assert merged == sweep(g) == enumerate_faces(g)
 
-    @pytest.mark.parametrize("jobs,size", [(64, 2), (2, 2)])
-    def test_pool_size_is_capped_at_the_cpu_count(self, recording_pool, monkeypatch, jobs, size):
+    @pytest.mark.parametrize("jobs", [1, 2, 64])
+    def test_jobs_has_no_effect(self, recording_pool, monkeypatch, jobs):
         import multiprocessing
 
         monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
         g = complete_graph(5)
         assert enumerate_faces(g, jobs=jobs) == enumerate_faces(g)
-        assert recording_pool.sizes == [size]
+        assert recording_pool.sizes == []
 
     def test_one_cpu_runs_serially(self, recording_pool, monkeypatch):
         import multiprocessing
@@ -128,6 +121,118 @@ class TestEnumerateFaces:
         for a in sets:
             for b in sets:
                 assert (a & b) in sets
+
+
+def _with_and_without_empty(full):
+    """The listings with and without the empty face, from one listing that has it."""
+    return {True: full, False: [f for f in full if f.descriptor.contains_origin or f.descriptor.subgraph.mask]}
+
+
+class TestClosureMatchesTheSweep:
+    """Enumeration by closure lists what the 2^m subgraph sweep lists, in the same order."""
+
+    @pytest.fixture(scope="class")
+    def small_universe(self):
+        from rootpoly.crosscheck import all_dags
+
+        return [g for n in range(1, 5) for g in all_dags(n)]
+
+    @pytest.fixture(scope="class")
+    def random_graphs(self):
+        from rootpoly.crosscheck import random_dags
+
+        return [g for n in range(5, 9) for g in random_dags(20261018 + n, n, 4, max_edges=12)]
+
+    def _assert_matches(self, graphs, sweep):
+        for g in graphs:
+            want = _with_and_without_empty(sweep(g, include_empty=True))
+            for empty in (False, True):
+                got = enumerate_faces(g, include_empty=empty)
+                assert got == want[empty]
+                keys = [(f.descriptor.subgraph.mask, f.descriptor.contains_origin) for f in got]
+                assert len(set(keys)) == len(keys)
+
+    def test_small_universe(self, small_universe, sweep):
+        assert len(small_universe) == 572
+        self._assert_matches(small_universe, sweep)
+
+    def test_random_dags(self, random_graphs, sweep):
+        assert {g.n for g in random_graphs} == {5, 6, 7, 8}
+        assert max(len(g.edges) for g in random_graphs) <= 12
+        self._assert_matches(random_graphs, sweep)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kn_counts_match_the_formula(self, n):
+        kn = complete_graph(n)
+        oracle = fvector(kn, include_empty=True, include_improper=True, max_edges=len(kn.edges))
+        assert oracle == fvector(kn, mode="formula", include_empty=True, include_improper=True)
+
+
+class TestOutputSensitive:
+    """The enumeration computes at most m + 1 closures per face and never analyses a subgraph."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import sys
+
+        import rootpoly.enumeration as en
+
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(en, "face_closure", counting("closure", en.face_closure))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rootpoly.") and "build_hcomp" in vars(module):
+                monkeypatch.setattr(module, "build_hcomp", counting("analysis", vars(module)["build_hcomp"]))
+        return counts
+
+    @pytest.mark.parametrize("graph", ["k6", "square"])
+    def test_closures_per_face(self, calls, square_graph, graph):
+        g = complete_graph(6) if graph == "k6" else square_graph
+        closed = len(enumerate_faces(g, include_empty=True, include_improper=True))
+        m = len(g.edges)
+        assert 0 < calls["closure"] <= closed * (m + 1)
+        assert calls["analysis"] == 0
+        if graph == "k6":
+            assert closed * (m + 1) < 1 << m  # a sweep of all subgraphs would fail here
+
+
+class TestFaceClosure:
+    """face_closure, which reads none of the face criteria, fixes exactly the subgraphs they accept."""
+
+    def test_agrees_with_the_criteria_on_the_small_universe(self):
+        from rootpoly.crosscheck import all_dags
+
+        subgraphs = 0
+        for n in range(1, 5):
+            for g in all_dags(n):
+                m = len(g.edges)
+                for mask in range(1 << m):
+                    h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
+                    r = undirected_components(h).count
+                    closed, count = face_closure(g, mask << 1 | 1)
+                    assert (closed == mask << 1 | 1) == is_tilde_face(g, h)
+                    assert closed != mask << 1 | 1 or count == r
+                    if mask:
+                        closed, count = face_closure(g, mask << 1)
+                        assert (closed == mask << 1) == is_q_face(g, h)
+                        assert closed != mask << 1 or count == r
+                    subgraphs += 1
+        assert 2 * subgraphs == 19128  # (subgraph, origin) pairs
+
+    def test_closure_of_nothing_is_the_empty_face(self, k4):
+        assert face_closure(k4, 0) == (0, 4)
+
+    def test_origin_joins_when_no_face_avoids_it(self, k3):
+        # (1,2) and (2,3) average to the midpoint of the origin and (1,3).
+        both = 1 << 1 | 1 << 3
+        assert face_closure(k3, both) == (0b1111, 1)
 
 
 class TestKnTilde:

@@ -22,6 +22,7 @@ from rootpoly.graphs import (
     load_subgraph,
     parse_digraph,
     parse_subgraph,
+    strong_components,
     undirected_components,
     validate,
 )
@@ -148,6 +149,37 @@ class TestComponents:
     def test_reversing_edges_preserves_components(self, g):
         rev = Digraph(g.n, tuple((v, u) for u, v in g.edges))
         assert undirected_components(g) == undirected_components(rev)
+
+
+class TestStrongComponents:
+    def test_cycle_with_a_tail(self):
+        comp, count = strong_components(5, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 3)])
+        assert count == 3
+        assert comp[0] == comp[1] == comp[2]
+        assert len({comp[0], comp[3], comp[4]}) == 3
+
+    def test_no_arcs(self):
+        assert strong_components(3, []) == ([0, 1, 2], 3)
+
+    def test_long_cycle_needs_no_recursion(self):
+        k = 20_000
+        comp, count = strong_components(k, [(v, (v + 1) % k) for v in range(k)])
+        assert count == 1 and set(comp) == {0}
+
+    @given(dags())
+    def test_a_dag_with_its_reversed_subgraph_joins_its_components(self, g):
+        # Each edge together with its reverse is a 2-cycle: the strong
+        # components are then the undirected components.
+        arcs = [(u - 1, v - 1) for u, v in g.edges]
+        comp, count = strong_components(g.n, arcs + [(v, u) for u, v in arcs])
+        c = undirected_components(g)
+        assert count == c.count
+        assert all((comp[u - 1] == comp[v - 1]) == (c.component(u) == c.component(v))
+                   for u in range(1, g.n + 1) for v in range(1, g.n + 1))
+
+    @given(dags())
+    def test_a_dag_has_only_singletons(self, g):
+        assert strong_components(g.n, [(u - 1, v - 1) for u, v in g.edges])[1] == g.n
 
 
 class TestAlternating:
