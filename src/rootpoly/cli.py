@@ -117,8 +117,7 @@ def _face_json(face) -> dict:
 def _cmd_enumerate(args) -> int:
     g = load_digraph(args.graph)
     trivial = args.include_trivial_faces
-    faces = enumerate_faces(g, max_edges=args.max_edges, include_empty=trivial,
-                            include_improper=True, jobs=args.jobs)
+    faces = enumerate_faces(g, max_edges=args.max_edges, include_empty=trivial, include_improper=True)
     counts = Counter(f.dim for f in faces
                      if trivial or not (f.descriptor.contains_origin and f.descriptor.subgraph.is_full()))
     doc = {

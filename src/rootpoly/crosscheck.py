@@ -18,7 +18,7 @@ from multiprocessing import Pool
 from .certificates import certify, verify_certificate
 from .faces import build_hcomp
 from .graphs import Digraph, DirectedCycleError, Edge, Subgraph
-from .hull import FaceLattice, descriptor_indices, enumerate_faces_bruteforce
+from .hull import FaceLattice, enumerate_faces_bruteforce
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,9 @@ def check_graph(g: Digraph, lattice: FaceLattice | None = None) -> CheckReport:
     for mask in range(1 << m):
         h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
         hc = build_hcomp(g, h)
+        points = frozenset(i + 1 for i in h.mask)  # lattice point 0 is the origin, point i + 1 edge i
         for contains_origin in (True, False):
-            expected = lattice.is_face(descriptor_indices(h, contains_origin))
+            expected = (points | {0} if contains_origin else points) in lattice.faces
             got = hc.is_tilde_face() if contains_origin else hc.is_q_face()
             report.checks += 1
             if got != expected:

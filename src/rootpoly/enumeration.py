@@ -3,13 +3,14 @@
 General graphs are enumerated by NextClosure over the points of the
 polytope: ``face_closure`` finds the smallest face holding a set of points
 by duality on difference constraints, one strong-component pass (plus
-Bellman-Ford when the origin is left out), so the cost grows with the
-number of faces, not with the 2^m spanning subgraphs.  Both face
-dimensions are read from the closure's component count.  Complete graphs,
-connected alternating graphs and transitively closed graphs additionally
-have direct generators (interval decompositions, independent-set splits,
-and vertex bipartitions) that are cross-checked against the oracle in the
-test suite; ``kn_face_counts`` is the one f-vector formula for K_n, behind
+Bellman-Ford when the origin is left out) over the arcs that validating G
+built, so the cost grows with the number of faces, not with the 2^m
+spanning subgraphs.  Both face dimensions are read from the closure's
+component count.  Complete graphs, connected alternating graphs and
+transitively closed graphs additionally have direct generators (interval
+decompositions, independent-set splits, and vertex bipartitions) that are
+cross-checked against the oracle in the test suite; a K_n listing builds
+K_n once.  ``kn_face_counts`` is the one f-vector formula for K_n, behind
 ``fvector(mode="formula")`` and the ``kn --fvector`` command.
 """
 
@@ -86,8 +87,7 @@ def face_closure(g: Digraph, points: int) -> tuple[int, int]:
     the face leaves one, so the count r returned is the number of
     undirected components of the face's subgraph.
     """
-    n = g.n
-    arcs = [(u - 1, v - 1) for u, v in g.edges]
+    n, arcs = g.n, g.arcs
     held = [(v, u) for i, (u, v) in enumerate(arcs) if points >> (i + 1) & 1]
     tight: Iterable[int] = range(len(arcs))
     if not points & 1:
@@ -121,7 +121,6 @@ def enumerate_faces(
     max_edges: int = 20,
     include_empty: bool = False,
     include_improper: bool = True,
-    jobs: int = 1,
 ) -> list[EnumeratedFace]:
     """All faces of the polytope of G, one descriptor each, sorted canonically.
 
@@ -132,8 +131,7 @@ def enumerate_faces(
     number of faces, not with 2^m.  With r strong components the face has
     dimension n - r with the origin.  Without it the face lies in the
     hyperplane c.p = 1, which misses the origin, so its dimension is one
-    less, n - r - 1.  The edge count is still capped.  The listing is sequential, so ``jobs`` is
-    accepted and has no effect.
+    less, n - r - 1.  The edge count is still capped.
     """
     m = len(g.edges)
     if m > max_edges:

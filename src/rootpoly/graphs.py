@@ -2,14 +2,15 @@
 
 All types are immutable after construction and safe to share across workers.
 Edge identity is positional: a subgraph is a subset of the parent's edge
-indices, which keeps certificates and JSON output stable.
+indices, which keeps certificates and JSON output stable.  A Digraph's
+validation indexes its edges once, for every later reader of the list.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 
@@ -125,31 +126,32 @@ class Digraph:
     """A loop-free directed acyclic graph with vertex set {1, ..., n} and an ordered edge list.
 
     Any acyclic labeling is accepted; edges need not be oriented from a
-    smaller to a larger vertex.
+    smaller to a larger vertex.  The first fault in edge order raises;
+    that same pass builds ``edge_index`` and the 0-based ``arcs``.
     """
 
     n: int
     edges: tuple[Edge, ...]
+    edge_index: dict[Edge, int] = field(init=False, repr=False, compare=False)
+    arcs: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise VertexRangeError(f"vertex count must be positive, got {self.n}")
-        seen: set[Edge] = set()
-        for u, v in self.edges:
+        edge_index: dict[Edge, int] = {}
+        for i, (u, v) in enumerate(self.edges):
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise VertexRangeError(f"edge ({u}, {v}) leaves the vertex range 1..{self.n}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            if (u, v) in seen:
+            if edge_index.setdefault((u, v), i) != i:
                 raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        left = sink_first_labels(self.n, ((u - 1, v - 1) for u, v in self.edges)).count(0)
+        arcs = tuple((u - 1, v - 1) for u, v in self.edges)
+        left = sink_first_labels(self.n, arcs).count(0)
         if left:
             raise DirectedCycleError(f"edge list contains a directed cycle among {left} vertices")
-
-    @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
+        object.__setattr__(self, "edge_index", edge_index)
+        object.__setattr__(self, "arcs", arcs)
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -176,7 +178,7 @@ class Digraph:
 
 
 def validate(n: int, edge_list: Iterable[Sequence[int]]) -> Digraph:
-    """Validate raw input and return a Digraph.
+    """Validate raw input and return a Digraph, converting n and each endpoint with int().
 
     Raises SelfLoopError, DuplicateEdgeError, VertexRangeError or
     DirectedCycleError on bad input.
@@ -326,8 +328,9 @@ def is_transitively_closed(g: GraphLike) -> bool:
     return True
 
 
+@lru_cache(maxsize=1)
 def complete_graph(n: int) -> Digraph:
-    """K_n: every edge (i, j) with i < j, in lexicographic order."""
+    """K_n: every edge (i, j) with i < j, in lexicographic order; the last one built is kept."""
     return Digraph(n, tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
@@ -357,7 +360,7 @@ def format_edge_list(g: GraphLike) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_lines(text: str) -> tuple[int, list[Edge]]:
+def _parse_lines(text: str) -> tuple[int, tuple[Edge, ...]]:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise GraphError("empty edge-list input")
@@ -380,12 +383,11 @@ def _parse_lines(text: str) -> tuple[int, list[Edge]]:
             edges.append((int(row[0]), int(row[1])))
         except ValueError as exc:
             raise GraphError(f"bad edge line {' '.join(row)!r}") from exc
-    return n, edges
+    return n, tuple(edges)
 
 
 def parse_digraph(text: str) -> Digraph:
-    n, edges = _parse_lines(text)
-    return validate(n, edges)
+    return Digraph(*_parse_lines(text))
 
 
 def parse_subgraph(text: str, parent: Digraph) -> Subgraph:

@@ -275,9 +275,6 @@ class FaceLattice:
     def dim(self) -> int:
         return self.faces[frozenset(range(len(self.vertex_set.points)))]
 
-    def is_face(self, indices: Iterable[int]) -> bool:
-        return frozenset(indices) in self.faces
-
     def facets(self) -> list[frozenset[int]]:
         d = self.dim
         return sorted(

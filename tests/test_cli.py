@@ -111,6 +111,10 @@ class TestEnumerate:
         assert doc["fvector"] == {"0": 4, "1": 4}
         assert len(doc["faces"]) == 9  # 8 proper plus the polytope itself
 
+    def test_jobs_is_accepted_and_ignored(self, files, capsys):
+        for name in ("k3", "square", "k4"):
+            assert run(capsys, "enumerate", files[name], "--jobs", "2") == run(capsys, "enumerate", files[name])
+
     def test_max_edges_cap(self, files, capsys):
         code, _, err = run(capsys, "enumerate", files["k4"], "--max-edges", "3")
         assert code == 2
@@ -205,6 +209,16 @@ class TestVerify:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: edge cap 0 ")
+
+    def test_brute_force_cap_is_refused_at_once(self, tmp_path):
+        # 17 points for the brute-force oracle, 2^16 subgraphs to check: refused before any work.
+        edges = [(i, j) for i in range(1, 8) for j in range(i + 1, 8)][:16]
+        graph = tmp_path / "g16.txt"
+        graph.write_text("7 16\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        proc = subprocess.run([sys.executable, "-m", "rootpoly", "verify", str(graph)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: graph too large for the brute-force oracle (more than 15 edges)\n"
 
 
 class TestOutputBoundary:

@@ -79,23 +79,14 @@ class TestEnumerateFaces:
         merged.sort(key=lambda f: (f.dim, f.descriptor.contains_origin, f.descriptor.subgraph.indices))
         assert merged == sweep(g) == enumerate_faces(g)
 
-    @pytest.mark.parametrize("jobs", [1, 2, 64])
-    def test_jobs_has_no_effect(self, recording_pool, monkeypatch, jobs):
-        import multiprocessing
+    def test_kn_listing_validates_kn_at_most_once(self, monkeypatch):
+        import rootpoly.graphs as graphs
 
-        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
-        g = complete_graph(5)
-        assert enumerate_faces(g, jobs=jobs) == enumerate_faces(g)
-        assert recording_pool.sizes == []
-
-    def test_one_cpu_runs_serially(self, recording_pool, monkeypatch):
-        import multiprocessing
-        import os
-
-        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        enumerate_faces(complete_graph(5), jobs=8)
-        assert recording_pool.sizes == []
+        sizes = []
+        kahn = graphs.sink_first_labels
+        monkeypatch.setattr(graphs, "sink_first_labels", lambda k, arcs: sizes.append(k) or kahn(k, arcs))
+        assert len(kn_q_faces(7)) == len(kn_face_data(7))
+        assert sizes in ([], [7])
 
     def test_matches_brute_force(self, k3, square_graph):
         for g in (k3, square_graph):

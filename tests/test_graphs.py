@@ -76,6 +76,44 @@ class TestValidate:
         g = validate(3, [(3, 1), (3, 2), (1, 2)])
         assert len(g.edges) == 3
 
+    @pytest.mark.parametrize("edges,error,message", [
+        ([(1, 2), (1, 2), (3, 3)], DuplicateEdgeError, "duplicate edge (1, 2)"),
+        ([(1, 1), (1, 2), (1, 2)], SelfLoopError, "self-loop at vertex 1"),
+        ([(2, 1), (1, 4), (1, 1)], VertexRangeError, "edge (1, 4) leaves the vertex range 1..3"),
+        ([(1, 2), (2, 1), (3, 3)], SelfLoopError, "self-loop at vertex 3"),
+    ])
+    def test_first_fault_in_edge_order_wins(self, edges, error, message):
+        text = f"3 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        for build in (lambda: validate(3, edges), lambda: parse_digraph(text)):
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
+
+
+class TestDerivedViews:
+    def test_subgraph_keeps_the_edge_index(self):
+        g = validate(4, [(1, 3), (4, 2), (1, 2)])
+        index = g.edge_index
+        assert index == {(1, 3): 0, (4, 2): 1, (1, 2): 2}
+        g.subgraph([(4, 2)])
+        g.subgraph([(1, 2), (1, 3)])
+        assert g.edge_index is index
+
+    def test_left_out_of_comparison_repr_and_pickling(self):
+        import pickle
+
+        g = validate(3, [(1, 2), (2, 3)])
+        assert repr(g) == "Digraph(n=3, edges=((1, 2), (2, 3)))"
+        assert g == Digraph(3, ((1, 2), (2, 3))) and hash(g) == hash(Digraph(3, ((1, 2), (2, 3))))
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.edge_index == g.edge_index
+
+    def test_arcs_are_the_edges_on_vertices_from_0(self):
+        import pickle
+
+        g = validate(4, [(1, 3), (4, 2), (1, 2)])
+        assert g.arcs == ((0, 2), (3, 1), (0, 1)) == pickle.loads(pickle.dumps(g)).arcs
+
 
 class TestSerialization:
     def test_round_trip_triangle(self, k3):
