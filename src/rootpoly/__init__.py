@@ -20,7 +20,6 @@ from .certificates import (
 )
 from .enumeration import (
     EnumeratedFace,
-    FVector,
     KnFaceDatum,
     NotConnectedError,
     NotTransitivelyClosedError,

@@ -60,8 +60,9 @@ def certify(hc: HComp, contains_origin: bool) -> Certificate:
 
     With the origin, coefficients come from the sink-first order of the
     contracted multigraph, and the full graph gets the all-ones vector.
-    Without it, coefficients are the vertex weights shifted per component,
-    with right-hand side -1; the empty subgraph certifies the empty face.
+    Without it, coefficients are the vertex weights shifted per component
+    by the analysis's Bellman-Ford potentials (in units of 1/(m+1)), with
+    right-hand side -1; the empty subgraph certifies the empty face.
     """
     comp = hc.components.component_of
     if contains_origin:
@@ -73,11 +74,11 @@ def certify(hc: HComp, contains_origin: bool) -> Certificate:
     w = hc.weights
     if w is None:
         raise NotAFaceError("subgraph is not path consistent")
-    try:
-        shift = solve_shift_vector(hc, w)
-    except NotAdmissibleError as exc:
-        raise NotAFaceError("subgraph is not admissible") from exc
-    return Certificate(tuple(Fraction(x) + shift.d[c] for x, c in zip(w.values, comp)), Fraction(-1))
+    dist, bad = hc.potentials
+    if bad is not None:
+        raise NotAFaceError("subgraph is not admissible")
+    m1 = len(hc.edges) + 1
+    return Certificate(tuple(Fraction(x * m1 + dist[c], m1) for x, c in zip(w.values, comp)), Fraction(-1))
 
 
 def tilde_certificate(g: Digraph, h: Subgraph) -> Certificate:
@@ -91,9 +92,9 @@ def solve_shift_vector(hc: HComp, w: WeightFunction) -> ShiftVector:
     Runs Bellman-Ford from a virtual zero-weight source over the edge
     weights wd(e) + 1 - 1/(m+1); admissibility guarantees no negative
     cycle, and the potentials leave slack at least 1/(m+1) on every edge.
-    For H's own weights the analysis's run is reused.
+    ``certify`` reads H's own potentials off the analysis instead.
     """
-    dist, bad = hc.potentials if w == hc.weights else _bellman_ford(hc, w)
+    dist, bad = _bellman_ford(hc, w)
     if bad is not None:
         raise NotAdmissibleError("negative cycle found while solving the shift system")
     m1 = len(hc.edges) + 1

@@ -26,7 +26,7 @@ from .faces import (
     build_hcomp,
 )
 from .graphs import GraphError, load_digraph, load_subgraph
-from .hull import TooLargeError
+from .hull import BRUTE_FORCE_CAP, TooLargeError
 
 
 class InputError(Exception):
@@ -142,14 +142,15 @@ def _cmd_kn(args) -> int:
         raise InputError("listings stop at n = 10; kn N --fvector counts the faces up to n = 14")
     doc: dict = {"n": n}
     lines: list[str] = []
+    empty = args.include_trivial_faces and not args.tilde_only  # listed and counted alike; the improper face always is
     if args.fvector:
         counts = Counter()
         if not args.q_only:
             counts += kn_face_counts(n, True)
         if not args.tilde_only:
             counts += kn_face_counts(n, False)
-        if args.include_trivial_faces and not args.tilde_only:
-            counts[-1] += 1  # the empty face
+        if empty:
+            counts[-1] += 1
         doc["fvector"] = {str(d): c for d, c in sorted(counts.items())}
         lines.append("f-vector " + json.dumps(doc["fvector"]))
     else:
@@ -157,6 +158,8 @@ def _cmd_kn(args) -> int:
         if not args.q_only:
             out += [{"edges": [list(e) for e in h.edges], "origin": True} for h in kn_tilde_faces(n)]
         if not args.tilde_only:
+            if empty:
+                out.append({"edges": [], "origin": False})
             out += [{"edges": [list(e) for e in h.edges], "origin": False} for h in kn_q_faces(n)]
         doc["faces"] = out
         lines.append(f"{len(out)} generated faces")
@@ -167,9 +170,8 @@ def _cmd_kn(args) -> int:
 
 def _cmd_fvector(args) -> int:
     g = load_digraph(args.graph)
-    fv = fvector(g, mode="oracle", include_empty=args.include_trivial_faces,
-                 include_improper=args.include_trivial_faces, max_edges=args.max_edges)
-    doc = {"fvector": {str(d): c for d, c in fv.counts}}
+    counts = fvector(g, args.include_trivial_faces, args.include_trivial_faces, args.max_edges)
+    doc = {"fvector": {str(d): c for d, c in counts.items()}}
     _print_doc(doc, args.json, ["f-vector " + json.dumps(doc["fvector"])])
     return 0
 
@@ -188,8 +190,8 @@ def _cmd_verify(args) -> int:
         source = f"random n={args.random} count={args.count} max-edges={args.max_edges} seed={args.seed}"
     else:
         g = load_digraph(args.graph)
-        if len(g.edges) + 1 > 16:
-            raise InputError("graph too large for the brute-force oracle (more than 15 edges)")
+        if len(g.edges) + 1 > BRUTE_FORCE_CAP:
+            raise InputError(f"graph too large for the brute-force oracle (more than {BRUTE_FORCE_CAP - 1} edges)")
         graphs = [g]
         source = f"graph {args.graph}"
     report = crosscheck.check_graphs(graphs, jobs=args.jobs)

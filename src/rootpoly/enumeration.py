@@ -10,8 +10,10 @@ component count.  Complete graphs, connected alternating graphs and
 transitively closed graphs additionally have direct generators (interval
 decompositions, independent-set splits, and vertex bipartitions) that are
 cross-checked against the oracle in the test suite; a K_n listing builds
-K_n once.  ``kn_face_counts`` is the one f-vector formula for K_n, behind
-``fvector(mode="formula")`` and the ``kn --fvector`` command.
+K_n once.  Face counts are plain ``{dimension: count}`` dicts in increasing
+dimension: ``fvector`` counts what ``enumerate_faces`` lists, and
+``kn_face_counts``, the one f-vector formula for K_n, backs the
+``kn --fvector`` command, which the test suite checks against ``fvector``.
 """
 
 from __future__ import annotations
@@ -43,22 +45,6 @@ class NotConnectedError(ValueError):
 
 class NotTransitivelyClosedError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FVector:
-    """Face counts by dimension, with flags recording which trivial faces are included."""
-
-    counts: tuple[tuple[int, int], ...]
-    includes_empty: bool
-    includes_improper: bool
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    @classmethod
-    def from_dict(cls, counts: dict[int, int], includes_empty: bool, includes_improper: bool) -> "FVector":
-        return cls(tuple(sorted(counts.items())), includes_empty, includes_improper)
 
 
 @dataclass(frozen=True)
@@ -162,6 +148,17 @@ def enumerate_faces(
                 break
     out.sort(key=lambda f: (f.dim, f.descriptor.contains_origin, f.descriptor.subgraph.indices))
     return out
+
+
+def fvector(
+    g: Digraph,
+    include_empty: bool = False,
+    include_improper: bool = False,
+    max_edges: int = 20,
+) -> dict[int, int]:
+    """Counts of the faces ``enumerate_faces`` lists, by dimension, in increasing dimension."""
+    counts = Counter(f.dim for f in enumerate_faces(g, max_edges, include_empty, include_improper))
+    return dict(sorted(counts.items()))
 
 
 # --- complete graphs -----------------------------------------------------------
@@ -395,39 +392,3 @@ def facets_transitively_closed(g: Digraph) -> list[Subgraph]:
             out.append(h)
     out.sort(key=lambda h: h.indices)
     return out
-
-
-# --- f-vectors -----------------------------------------------------------------
-
-
-def fvector(
-    g: Digraph,
-    mode: str = "oracle",
-    include_empty: bool = False,
-    include_improper: bool = False,
-    max_edges: int = 20,
-) -> FVector:
-    """Face counts by dimension.
-
-    Mode "oracle" counts the faces ``enumerate_faces`` lists;
-    mode "formula" uses the complete-graph generators and requires G to be
-    a complete graph with the canonical edge order.
-    """
-    counts: dict[int, int] = {}
-    if mode == "oracle":
-        for face in enumerate_faces(g, max_edges=max_edges, include_empty=include_empty,
-                                    include_improper=include_improper):
-            counts[face.dim] = counts.get(face.dim, 0) + 1
-    elif mode == "formula":
-        n = g.n
-        if g.edges != complete_graph(n).edges:
-            raise ValueError("formula mode requires the complete graph with canonical edge order")
-        counts = kn_face_counts(n, True) + kn_face_counts(n, False)
-        if not include_improper:
-            counts[n - 1] -= 1
-            counts = +counts  # drops the dimension the improper face leaves empty
-        if include_empty:
-            counts[-1] += 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return FVector.from_dict(counts, include_empty, include_improper)

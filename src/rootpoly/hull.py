@@ -293,7 +293,11 @@ class FaceLattice:
         return dict(sorted(counts.items()))
 
 
-def enumerate_faces_bruteforce(g: Digraph, cap: int = 16) -> FaceLattice:
+# The most polytope points (the origin and one per edge) whose 2^k subsets the brute force tests.
+BRUTE_FORCE_CAP = 16
+
+
+def enumerate_faces_bruteforce(g: Digraph, cap: int = BRUTE_FORCE_CAP) -> FaceLattice:
     """Test every vertex subset with the separation program; desk scale only.
 
     Each face's dimension comes from the nullspace its test builds; only the

@@ -74,6 +74,21 @@ class TestShiftVector:
                 for e in hc.edges:
                     assert weight_decrease(w, e) + shift.d[e.source] - shift.d[e.target] > -1
 
+    def test_certify_shifts_the_weights_by_the_same_potentials(self, k4, square_graph):
+        from rootpoly.certificates import certify
+        from rootpoly.faces import is_q_face
+
+        for g in (k4, square_graph):
+            m = len(g.edges)
+            for mask in range(1 << m):
+                h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
+                if is_q_face(g, h):
+                    hc = build_hcomp(g, h)
+                    w = path_consistency(h)
+                    shift = solve_shift_vector(hc, w).d
+                    comp = hc.components.component_of
+                    assert certify(hc, False).c == tuple(x + shift[c] for x, c in zip(w.values, comp))
+
     def test_potentials_bounded(self, k4):
         # Acyclic contraction with all-zero decreases: potentials stay in
         # [-(1 - 1/(m+1)) * n, 0].

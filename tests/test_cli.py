@@ -136,21 +136,56 @@ class TestKn:
         # Binomial part includes the improper face, so dim 2 counts 1.
         assert json.loads(out)["fvector"] == {"0": 4, "1": 4, "2": 1}
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_fvector_agrees_with_the_library_and_the_oracle(self, capsys, n):
+        # The closed form against the enumeration, in order of dimension; kn always counts the improper face.
         from rootpoly.enumeration import fvector
         from rootpoly.graphs import complete_graph
 
         kn = complete_graph(n)
         for trivial in ([], ["--include-trivial-faces"]):
             code, out, _ = run(capsys, "kn", str(n), "--fvector", "--json", *trivial)
-            formula = fvector(kn, mode="formula", include_empty=bool(trivial), include_improper=True)
-            oracle = fvector(kn, mode="oracle", include_empty=bool(trivial), include_improper=True)
-            assert code == 0 and json.loads(out)["fvector"] == {str(d): c for d, c in formula.counts}
-            assert formula == oracle
+            oracle = fvector(kn, include_empty=bool(trivial), include_improper=True, max_edges=len(kn.edges))
+            assert code == 0
+            assert list(json.loads(out)["fvector"].items()) == [(str(d), c) for d, c in oracle.items()]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_listing_holds_the_faces_the_count_counts(self, capsys, n):
+        for only in ([], ["--tilde-only"], ["--q-only"]):
+            for trivial in ([], ["--include-trivial-faces"]):
+                _, listed, _ = run(capsys, "kn", str(n), "--json", *only, *trivial)
+                _, counted, _ = run(capsys, "kn", str(n), "--fvector", "--json", *only, *trivial)
+                assert len(json.loads(listed)["faces"]) == sum(json.loads(counted)["fvector"].values())
+
+    def test_trivial_faces_flag_lists_the_empty_face_first_without_the_origin(self, capsys):
+        _, out, _ = run(capsys, "kn", "3", "--json")
+        plain = json.loads(out)["faces"]
+        tilde = [f for f in plain if f["origin"]]
+        q = [f for f in plain if not f["origin"]]
+        empty = {"edges": [], "origin": False}
+        assert plain == tilde + q
+        for only, want in (((), tilde + [empty] + q), (("--q-only",), [empty] + q), (("--tilde-only",), tilde)):
+            _, out, _ = run(capsys, "kn", "3", "--json", "--include-trivial-faces", *only)
+            assert json.loads(out)["faces"] == want
 
 
 class TestFVector:
+    def test_agrees_with_enumerate(self, tmp_path, capsys):
+        # Both commands count the same faces: every DAG on at most 3 vertices, K_4 and the square graph.
+        from rootpoly.crosscheck import all_dags
+        from rootpoly.graphs import complete_graph, validate
+
+        graphs = [g for n in range(1, 4) for g in all_dags(n)]
+        graphs += [complete_graph(4), validate(4, [(1, 3), (1, 4), (2, 3), (2, 4)])]
+        path = tmp_path / "g.txt"
+        for g in graphs:
+            path.write_text(f"{g.n} {len(g.edges)}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+            for trivial in ([], ["--include-trivial-faces"]):
+                counted = run(capsys, "fvector", str(path), "--json", *trivial)
+                listed = run(capsys, "enumerate", str(path), "--json", *trivial)
+                assert counted[0] == listed[0] == 0
+                assert json.loads(counted[1])["fvector"] == json.loads(listed[1])["fvector"]
+
     def test_square_pyramid(self, files, capsys):
         code, out, _ = run(capsys, "fvector", files["square"], "--json")
         assert json.loads(out)["fvector"] == {"0": 5, "1": 8, "2": 5}
@@ -301,3 +336,21 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["face"] is True
+
+
+def test_readme_cli_block_names_every_option():
+    # Each "rootpoly CMD ..." usage line in the README's CLI block names exactly the parser's long options.
+    import argparse
+    import re
+    from pathlib import Path
+
+    from rootpoly.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+                  for line in block.splitlines() if line.startswith("rootpoly ")}
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+                for name, p in commands.items()}
+    assert documented == accepted

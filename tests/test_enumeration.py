@@ -1,8 +1,10 @@
+import json
 from collections import Counter
 from math import comb
 
 import pytest
 
+from rootpoly.cli import main
 from rootpoly.enumeration import (
     KnFaceDatum,
     NotConnectedError,
@@ -33,6 +35,14 @@ from rootpoly.graphs import (
 from rootpoly.hull import TooLargeError, descriptor_indices, enumerate_faces_bruteforce
 
 
+def kn_proper_counts(capsys, n):
+    """``kn N --fvector`` without its improper face, the one face of top dimension n - 1."""
+    assert main(["kn", str(n), "--fvector", "--json"]) == 0
+    counts = {int(d): c for d, c in json.loads(capsys.readouterr().out)["fvector"].items()}
+    assert counts.pop(n - 1) == 1
+    return counts
+
+
 def oracle_subgraph_sets(g):
     m = len(g.edges)
     tilde, q = set(), set()
@@ -54,8 +64,7 @@ class TestEnumerateFaces:
         assert sum(1 for f in proper if f.dim == 1) == 4
 
     def test_square_pyramid_counts(self, square_graph):
-        fv = fvector(square_graph).as_dict()
-        assert fv == {0: 5, 1: 8, 2: 5}
+        assert fvector(square_graph) == {0: 5, 1: 8, 2: 5}
 
     def test_edgeless_single_face(self):
         faces = enumerate_faces(validate(3, []))
@@ -101,7 +110,7 @@ class TestEnumerateFaces:
         from rootpoly.crosscheck import random_dags
 
         for g in [k4, square_graph] + random_dags(29, 5, 4, max_edges=7):
-            fv = fvector(g, include_empty=True, include_improper=True).as_dict()
+            fv = fvector(g, include_empty=True, include_improper=True)
             assert sum((-1) ** d * c for d, c in fv.items()) == 0
 
     def test_face_vertex_sets_closed_under_intersection(self, k4):
@@ -155,8 +164,10 @@ class TestClosureMatchesTheSweep:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kn_counts_match_the_formula(self, n):
         kn = complete_graph(n)
-        oracle = fvector(kn, include_empty=True, include_improper=True, max_edges=len(kn.edges))
-        assert oracle == fvector(kn, mode="formula", include_empty=True, include_improper=True)
+        faces = enumerate_faces(kn, max_edges=len(kn.edges))
+        for origin in (True, False):
+            counts = Counter(f.dim for f in faces if f.descriptor.contains_origin == origin)
+            assert counts == kn_face_counts(n, origin)
 
 
 class TestOutputSensitive:
@@ -366,8 +377,8 @@ class TestTransitivelyClosedGenerators:
 
 
 class TestFVector:
-    def test_formula_matches_oracle_for_k3(self, k3):
-        assert fvector(k3, mode="formula").as_dict() == fvector(k3, mode="oracle").as_dict() == {0: 4, 1: 4}
+    def test_formula_matches_oracle_for_k3(self, k3, capsys):
+        assert fvector(k3) == kn_proper_counts(capsys, 3) == {0: 4, 1: 4}
 
     def test_k4_binomial_part(self):
         assert [comb(3, 3 - d) for d in range(4)] == [1, 3, 3, 1]
@@ -377,11 +388,7 @@ class TestFVector:
         for empty in (False, True):
             for improper in (False, True):
                 fv = fvector(square_graph, include_empty=empty, include_improper=improper)
-                assert fv.as_dict() == lat.f_vector(include_empty=empty, include_improper=improper)
-
-    def test_formula_requires_complete_graph(self, square_graph):
-        with pytest.raises(ValueError):
-            fvector(square_graph, mode="formula")
+                assert fv == lat.f_vector(include_empty=empty, include_improper=improper)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kn_counts_match_the_generated_data(self, n):
@@ -392,6 +399,5 @@ class TestFVector:
         assert sum(kn_face_counts(n, True).values()) == len(kn_tilde_faces(n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_formula_matches_oracle_for_kn(self, n):
-        kn = complete_graph(n)
-        assert fvector(kn, mode="formula").as_dict() == fvector(kn, mode="oracle").as_dict()
+    def test_formula_matches_oracle_for_kn(self, n, capsys):
+        assert fvector(complete_graph(n)) == kn_proper_counts(capsys, n)
