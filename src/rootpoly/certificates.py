@@ -92,6 +92,8 @@ def solve_shift_vector(hc: HComp, w: WeightFunction) -> ShiftVector:
     Runs Bellman-Ford from a virtual zero-weight source over the edge
     weights wd(e) + 1 - 1/(m+1); admissibility guarantees no negative
     cycle, and the potentials leave slack at least 1/(m+1) on every edge.
+    Without admissibility, the negative cycle is read off the predecessor
+    graph after the first round that has one, and NotAdmissibleError raised.
     ``certify`` reads H's own potentials off the analysis instead.
     """
     dist, bad = _bellman_ford(hc, w)

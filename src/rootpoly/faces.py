@@ -13,15 +13,16 @@ Both questions, their witnesses and the certificates read one analysis of
 the pair, ``build_hcomp(g, h)``: a single breadth-first search of H, then
 the contraction, its sink-first order and Bellman-Ford, each at most once
 and only when asked for.  Negative answers come with small checkable
-witnesses used by the CLI; a directed or inadmissible cycle is read off the
-Kahn pass or the Bellman-Ford predecessors by one walk, ``_walk_to_cycle``.
+witnesses used by the CLI, each cycle found by one walk, ``_walk_to_cycle``:
+a directed cycle is read off the Kahn pass, and a negative (inadmissible)
+one off the predecessor graph after the first Bellman-Ford round that has
+one, usually long before round k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 from .graphs import (
     ComponentStructure,
@@ -204,18 +205,22 @@ def build_hcomp(g: Digraph, h: Subgraph) -> HComp:
     return HComp(g, h, undirected_components(h))
 
 
-def _walk_to_cycle(start: int, step: Callable[[int], tuple[int, int]]) -> list[int]:
-    """Follow ``step(v) -> (edge index, next vertex)`` from start until a vertex repeats.
+def _walk_to_cycle(start: int, step: dict[int, tuple[int, int]], seen: set[int]) -> list[int] | None:
+    """Follow ``step[v] = (edge index, next vertex)`` from start until a vertex repeats.
 
     Returns the indices of the edges on the closing cycle, in walk order
-    from the repeated vertex.
+    from the repeated vertex.  A walk that reaches a vertex without a step
+    or one in ``seen`` returns None and adds its own vertices to ``seen``.
     """
     position: dict[int, int] = {}
     walk: list[int] = []
     v = start
     while v not in position:
+        if v in seen or v not in step:
+            seen.update(position)
+            return None
         position[v] = len(walk)
-        idx, v = step(v)
+        idx, v = step[v]
         walk.append(idx)
     return walk[position[v]:]
 
@@ -233,7 +238,7 @@ def _directed_cycle(hc: HComp) -> list[HCompEdge]:
     for idx, e in enumerate(hc.edges):
         if left[e.source] == 0 == left[e.target] and e.source not in step:
             step[e.source] = (idx, e.target)
-    return [hc.edges[i] for i in _walk_to_cycle(left.index(0), step.__getitem__)]
+    return [hc.edges[i] for i in _walk_to_cycle(left.index(0), step, set())]
 
 
 # --- the origin question -----------------------------------------------------
@@ -298,7 +303,10 @@ def _bellman_ford(hc: HComp, w: WeightFunction) -> tuple[list[int], list[HCompEd
 
     Returns (potentials, negative_cycle) for the scaled weights of w; the
     potentials are in units of 1/(m+1) and only meaningful when no negative
-    cycle exists.
+    cycle exists.  The cycle is read off the predecessor graph after the
+    first round that leaves one there; every such cycle is negative (Tarjan
+    1981).  A vertex whose potential drops in round r has a predecessor
+    chain of r edges or one that reaches a cycle, so round k leaves one.
     """
     k = hc.vertex_count
     m1 = len(hc.edges) + 1
@@ -315,19 +323,19 @@ def _bellman_ford(hc: HComp, w: WeightFunction) -> tuple[list[int], list[HCompEd
                 changed = True
         if not changed:
             return dist, None
+        if (cycle := _predecessor_cycle(hc, pred)) is not None:
+            return dist, cycle
+    raise AssertionError("round k changed a potential but left no predecessor cycle")
 
-    def back(x: int) -> tuple[int, int]:
-        idx = pred[x]
-        if idx is None:
-            raise AssertionError("predecessor chain broke before reaching a cycle")
-        return idx, hc.edges[idx].source
 
-    for idx, e in enumerate(hc.edges):
-        if dist[e.source] + weights[idx] < dist[e.target]:
-            pred[e.target] = idx
-            # The predecessor chain revisits a vertex within k+1 steps.
-            return dist, [hc.edges[i] for i in reversed(_walk_to_cycle(e.target, back))]
-    return dist, None
+def _predecessor_cycle(hc: HComp, pred: list[int | None]) -> list[HCompEdge] | None:
+    """A cycle of the predecessor graph, edges in the contraction's direction, or None; O(k) per call."""
+    step = {v: (i, hc.edges[i].source) for v, i in enumerate(pred) if i is not None}
+    seen: set[int] = set()
+    for v in step:
+        if (cycle := _walk_to_cycle(v, step, seen)) is not None:
+            return [hc.edges[i] for i in reversed(cycle)]
+    return None
 
 
 def _inadmissible_cycle(w: WeightFunction, bad: list[HCompEdge] | None) -> InadmissibleCycleObstruction | None:

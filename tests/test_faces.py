@@ -163,10 +163,21 @@ def dfs_first_cycle(hc):
 class TestCycleWalk:
     def test_walk_returns_the_closing_cycle(self):
         # 0 -> 1 -> 2 -> 3 -> 1: the edge out of 0 leads in but is not on the cycle.
-        step = {0: (10, 1), 1: (11, 2), 2: (12, 3), 3: (13, 1)}.__getitem__
-        assert _walk_to_cycle(0, step) == [11, 12, 13]
-        assert _walk_to_cycle(2, step) == [12, 13, 11]
-        assert _walk_to_cycle(5, {5: (7, 5)}.__getitem__) == [7]
+        step = {0: (10, 1), 1: (11, 2), 2: (12, 3), 3: (13, 1)}
+        assert _walk_to_cycle(0, step, set()) == [11, 12, 13]
+        assert _walk_to_cycle(2, step, set()) == [12, 13, 11]
+        assert _walk_to_cycle(5, {5: (7, 5)}, set()) == [7]
+
+    def test_walk_stops_at_a_dead_end_or_an_earlier_walk(self):
+        # 0 -> 1 -> 2, and 2 has no step: no cycle, and the walk marks 0 and 1.
+        step = {0: (10, 1), 1: (11, 2), 3: (13, 1), 4: (14, 5), 5: (15, 4)}
+        seen = set()
+        assert _walk_to_cycle(0, step, seen) is None
+        assert seen == {0, 1}
+        # 3 -> 1 meets the earlier walk and stops there.
+        assert _walk_to_cycle(3, step, seen) is None
+        assert seen == {0, 1, 3}
+        assert _walk_to_cycle(4, step, seen) == [14, 15]
 
     def test_directed_cycle_is_the_depth_first_cycle(self):
         # Read off Kahn's leftovers, the witness is the cycle a depth-first
@@ -293,6 +304,23 @@ class TestAdmissibility:
                     assert is_admissible(g, h, shifted) == base
 
 
+def check_inadmissible_witness(g, h, obs):
+    """Check an inadmissible-cycle witness against H and its contraction alone.
+
+    Its total is the weight decrease along its edges and at most -length.
+    Every edge lies outside H, each edge's target component is the next
+    edge's source, the last closes on the first, and no component repeats.
+    """
+    w = path_consistency(h)
+    total = sum(w[u] - w[v] for u, v in obs.edges)
+    assert total == obs.total and total <= -obs.length
+    assert all(e in g.edge_set and e not in h.edge_set for e in obs.edges)
+    comps = undirected_components(h)
+    arcs = [(comps.component(u), comps.component(v)) for u, v in obs.edges]
+    assert [b for _, b in arcs] == [a for a, _ in arcs[1:] + arcs[:1]]
+    assert len({a for a, _ in arcs}) == len(arcs)
+
+
 class TestQFace:
     def test_triangle_is_not_a_face_of_its_own_hull(self, k3):
         assert not is_q_face(k3, k3.full_subgraph())
@@ -325,15 +353,17 @@ class TestQFace:
         assert obs.total == -2 and obs.length == 2
 
     def test_cycle_obstructions_violate_the_bound(self, k4, square_graph):
-        # Each reported cycle must be independently checkable.
-        for g in (k4, square_graph):
+        # Each reported cycle must be independently checkable.  The third
+        # graph has witnesses of length 3, which fix the cycle's direction.
+        longest = 0
+        three = validate(7, [(1, 6), (1, 5), (1, 4), (6, 7), (6, 5), (6, 4), (7, 3), (5, 2), (5, 4), (2, 3)])
+        for g in (k4, square_graph, three):
             for h in all_subgraphs(g):
                 obs = q_obstruction(g, h)
                 if isinstance(obs, InadmissibleCycleObstruction):
-                    w = path_consistency(h)
-                    total = sum(w[u] - w[v] for u, v in obs.edges)
-                    assert total == obs.total
-                    assert total <= -obs.length
+                    check_inadmissible_witness(g, h, obs)
+                    longest = max(longest, obs.length)
+        assert longest == 3
 
     def test_obstructions_on_random_graphs(self):
         from rootpoly.crosscheck import random_dags
@@ -346,9 +376,7 @@ class TestQFace:
                 assert (qo is None) == is_q_face(g, h)
                 if isinstance(qo, InadmissibleCycleObstruction):
                     witnesses += 1
-                    w = path_consistency(h)
-                    total = sum(w[u] - w[v] for u, v in qo.edges)
-                    assert total == qo.total and total <= -qo.length
+                    check_inadmissible_witness(g, h, qo)
         assert witnesses > 0
 
     def test_transitively_closed_forces_alternating(self, k4):
@@ -383,6 +411,53 @@ class TestQFace:
                 h2 = Subgraph(g2, h.mask)
                 assert is_tilde_face(g, h) == is_tilde_face(g2, h2)
                 assert is_q_face(g, h) == is_q_face(g2, h2)
+
+
+def negative_loop_pair(seed, n=200, m=1000):
+    """A random DAG and a subgraph whose contraction has a negative loop.
+
+    Built as the benchmark's inadmissible-cycle query is: the maximisers of a
+    random functional, which form a face without the origin, plus a path
+    a -> b -> c that avoids them and leaves its shortcut a -> c out.  That
+    shortcut is a loop of weight decrease w(a) - w(c) = -2, so Bellman-Ford
+    lowers a potential in every round until it reports the cycle.
+    """
+    rng = random.Random(seed)
+    order = rng.sample(range(1, n + 1), n)
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    g = validate(n, sorted(rng.sample(pairs, m)))
+    c = [rng.randint(0, 3) for _ in range(n + 1)]
+    best = max(c[u] - c[v] for u, v in g.edges)
+    face = {(u, v) for u, v in g.edges if c[u] - c[v] == best}
+    touched = {v for e in face for v in e}
+    a, b, z = next((a, b, z) for a, z in g.edges for b in range(1, n + 1)
+                   if {(a, b), (b, z)} <= g.edge_set and not touched & {a, b, z})
+    return g, g.subgraph(face | {(a, b), (b, z)})
+
+
+class TestEarlyNegativeCycle:
+    """Bellman-Ford reads the negative cycle off its predecessor graph after
+    the first round that has one, not after all k rounds."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_negative_loop_is_reported_within_two_rounds(self, monkeypatch, seed):
+        from rootpoly import faces
+
+        g, h = negative_loop_pair(seed)
+        rounds = 0
+        check = faces._predecessor_cycle
+
+        def counting(hc, pred):
+            nonlocal rounds
+            rounds += 1
+            return check(hc, pred)
+
+        monkeypatch.setattr(faces, "_predecessor_cycle", counting)
+        hc = build_hcomp(g, h)
+        obs = hc.q_obstruction()
+        assert isinstance(obs, InadmissibleCycleObstruction) and obs.total <= -obs.length
+        assert hc.vertex_count > 100
+        assert 1 <= rounds <= 2
 
 
 class TestDimensions:
