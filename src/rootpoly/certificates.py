@@ -8,14 +8,15 @@ it has c0 = -1 with c stepping down by exactly one along edges of H and by
 strictly less than one along the rest.  Both are read off the pair's
 analysis (``faces.build_hcomp``): the contraction's sink-first order, or
 H's weights shifted by the Bellman-Ford potentials that the admissibility
-test has already computed.  Verification is a direct exact
-transcription of those conditions and accepts any valid alternative.
+test has already computed.  Verification checks those conditions exactly,
+in integers over a common denominator, and accepts any valid alternative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .faces import HComp, WeightFunction, _bellman_ford, build_hcomp
 from .graphs import Digraph, Subgraph
@@ -77,7 +78,7 @@ def certify(hc: HComp, contains_origin: bool) -> Certificate:
     dist, bad = hc.potentials
     if bad is not None:
         raise NotAFaceError("subgraph is not admissible")
-    m1 = len(hc.edges) + 1
+    m1 = len(hc.contraction[2]) + 1
     return Certificate(tuple(Fraction(x * m1 + dist[c], m1) for x, c in zip(w.values, comp)), Fraction(-1))
 
 
@@ -99,7 +100,7 @@ def solve_shift_vector(hc: HComp, w: WeightFunction) -> ShiftVector:
     dist, bad = _bellman_ford(hc, w)
     if bad is not None:
         raise NotAdmissibleError("negative cycle found while solving the shift system")
-    m1 = len(hc.edges) + 1
+    m1 = len(hc.contraction[2]) + 1
     return ShiftVector(tuple(Fraction(v, m1) for v in dist))
 
 
@@ -115,18 +116,17 @@ def verify_certificate(g: Digraph, h: Subgraph, cert: Certificate, contains_orig
     """Exact check of the supporting-hyperplane conditions for the claimed face.
 
     Every point p of the polytope needs c.p = c0 when the face holds it and
-    c.p > c0 otherwise; the origin is the point with c.p = 0.
+    c.p > c0 otherwise; the origin is the point with c.p = 0.  Scaled by the
+    lcm of their denominators, c and c0 are compared as ints on every edge.
     """
     if len(cert.c) != g.n:
         return False
-    c, c0 = cert.c, cert.c0
+    c0 = cert.c0
     if (c0 != 0) if contains_origin else (c0 >= 0):
         return False
-    level = [x + c0 for x in c]  # c_v + c0, one addition per vertex rather than per edge
-    for i, (u, v) in enumerate(g.edges):
-        if i in h.mask:
-            if c[u - 1] != level[v - 1]:
-                return False
-        elif c[u - 1] <= level[v - 1]:
-            return False
-    return True
+    scale = lcm(c0.denominator, *(x.denominator for x in cert.c))
+    c = [x.numerator * (scale // x.denominator) for x in cert.c]
+    k0 = int(c0 * scale)
+    gap = [c[u] - c[v] for u, v in g.arcs]  # c.p at the point e_u - e_v, scaled
+    # With no gap below k0, the gaps equal to k0 are exactly H's edges when there are |H| of them, all on H.
+    return min(gap, default=k0) >= k0 and gap.count(k0) == len(h.mask) and all(gap[i] == k0 for i in h.mask)

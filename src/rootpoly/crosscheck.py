@@ -121,11 +121,11 @@ def random_dag(rng: random.Random, n: int, max_edges: int | None = None) -> Digr
 
     When an edge cap is given, draws are rejected until they fit.  The edge
     count is Binomial(n(n-1)/2, 1/2), and a cap it meets with probability
-    below 2**-CAP_ODDS_BITS is refused at once, by an exact integer test.
+    below 2**-CAP_ODDS_BITS is refused at once, by an exact test on its bit length.
     """
     if max_edges is not None:
         pairs = n * (n - 1) // 2
-        if sum(comb(pairs, k) for k in range(min(max_edges, pairs) + 1)) << CAP_ODDS_BITS < 1 << pairs:
+        if (sum(comb(pairs, k) for k in range(min(max_edges, pairs) + 1)) << CAP_ODDS_BITS).bit_length() <= pairs:
             raise UnreachableCapError(
                 f"edge cap {max_edges} is met by fewer than 1 in 2^{CAP_ODDS_BITS} random DAGs on {n} vertices"
             )

@@ -11,18 +11,21 @@ Two questions are decided for a spanning subgraph H of G:
 
 Both questions, their witnesses and the certificates read one analysis of
 the pair, ``build_hcomp(g, h)``: a single breadth-first search of H, then
-the contraction, its sink-first order and Bellman-Ford, each at most once
-and only when asked for.  Negative answers come with small checkable
-witnesses used by the CLI, each cycle found by one walk, ``_walk_to_cycle``:
-a directed cycle is read off the Kahn pass, and a negative (inadmissible)
-one off the predecessor graph after the first Bellman-Ford round that has
-one, usually long before round k.
+the contraction (three parallel lists of ints), its sink-first order and
+Bellman-Ford, each at most once and only when asked for.  Negative answers
+come with small checkable witnesses, whose edges alone become ``HCompEdge``
+objects.  Each cycle is found by one walk, ``_walk_to_cycle``: a directed
+cycle is read off the Kahn pass, and a negative (inadmissible) one off the
+predecessor graph after the first Bellman-Ford round that has one, usually
+long before round k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
+from operator import eq
 
 from .graphs import (
     ComponentStructure,
@@ -59,9 +62,9 @@ class HComp:
     Building it runs one breadth-first search of H, which gives H's
     undirected components together with its weight function or its first
     path conflict.  Each later stage is computed at most once, on first
-    use: the contraction of the components, with one labelled edge per
-    element of E(G)\\E(H) and loops and parallel edges permitted; the
-    contraction's sink-first order; and Bellman-Ford over H's own weights.
+    use: the contraction of the components, loops and parallel edges kept,
+    as int lists with one entry per edge of E(G)\\E(H); its sink-first
+    order; and Bellman-Ford over H's own weights.
     """
 
     g: Digraph
@@ -73,24 +76,34 @@ class HComp:
         return self.components.count
 
     @cached_property
-    def edges(self) -> tuple[HCompEdge, ...]:
+    def contraction(self) -> tuple[list[int], list[int], list[int]]:
+        """Parallel lists over E(G)\\E(H) in edge order: source component, target component, index in E(G)."""
         comp = self.components.component_of
         mask = self.h.mask
-        return tuple(
-            HCompEdge(comp[u - 1], comp[v - 1], i, (u, v))
-            for i, (u, v) in enumerate(self.g.edges)
-            if i not in mask
-        )
+        labels = [i for i in range(len(self.g.arcs)) if i not in mask]
+        arcs = [self.g.arcs[i] for i in labels]
+        return [comp[u] for u, _ in arcs], [comp[v] for _, v in arcs], labels
+
+    def edge(self, j: int) -> HCompEdge:
+        """Contracted edge j as an object, made only for the edges of a witness."""
+        sources, targets, labels = self.contraction
+        return HCompEdge(sources[j], targets[j], labels[j], self.g.edges[labels[j]])
+
+    @property
+    def edges(self) -> tuple[HCompEdge, ...]:
+        """Every contracted edge as an object, made afresh on each call; no predicate reads it."""
+        return tuple(map(self.edge, range(len(self.contraction[2]))))
 
     @cached_property
     def loop(self) -> HCompEdge | None:
         """The first contracted edge that joins a component to itself."""
-        return next((e for e in self.edges if e.source == e.target), None)
+        j = next(compress(count(), map(eq, *self.contraction[:2])), None)
+        return None if j is None else self.edge(j)
 
     @cached_property
     def removal_order(self) -> list[int]:
         """Kahn's sink-first labels of the components, 0 on every one on a directed cycle or upstream of one."""
-        return sink_first_labels(self.vertex_count, ((e.source, e.target) for e in self.edges))
+        return sink_first_labels(self.vertex_count, zip(*self.contraction[:2]))
 
     @cached_property
     def order(self) -> list[int] | None:
@@ -235,10 +248,10 @@ def _directed_cycle(hc: HComp) -> list[HCompEdge]:
     """
     left = hc.removal_order
     step: dict[int, tuple[int, int]] = {}
-    for idx, e in enumerate(hc.edges):
-        if left[e.source] == 0 == left[e.target] and e.source not in step:
-            step[e.source] = (idx, e.target)
-    return [hc.edges[i] for i in _walk_to_cycle(left.index(0), step, set())]
+    for j, (s, t) in enumerate(zip(*hc.contraction[:2])):
+        if left[s] == 0 == left[t] and s not in step:
+            step[s] = (j, t)
+    return [hc.edge(j) for j in _walk_to_cycle(left.index(0), step, set())]
 
 
 # --- the origin question -----------------------------------------------------
@@ -309,17 +322,19 @@ def _bellman_ford(hc: HComp, w: WeightFunction) -> tuple[list[int], list[HCompEd
     chain of r edges or one that reaches a cycle, so round k leaves one.
     """
     k = hc.vertex_count
-    m1 = len(hc.edges) + 1
-    weights = [(weight_decrease(w, e) + 1) * m1 - 1 for e in hc.edges]
+    sources, targets, labels = hc.contraction
+    m1 = len(labels) + 1
+    arcs = hc.g.arcs
+    weights = [(w.values[arcs[i][0]] - w.values[arcs[i][1]] + 1) * m1 - 1 for i in labels]
     dist = [0] * k
     pred: list[int | None] = [None] * k
     for _ in range(k):
         changed = False
-        for idx, e in enumerate(hc.edges):
-            nd = dist[e.source] + weights[idx]
-            if nd < dist[e.target]:
-                dist[e.target] = nd
-                pred[e.target] = idx
+        for j, (s, t, weight) in enumerate(zip(sources, targets, weights)):
+            nd = dist[s] + weight
+            if nd < dist[t]:
+                dist[t] = nd
+                pred[t] = j
                 changed = True
         if not changed:
             return dist, None
@@ -330,11 +345,11 @@ def _bellman_ford(hc: HComp, w: WeightFunction) -> tuple[list[int], list[HCompEd
 
 def _predecessor_cycle(hc: HComp, pred: list[int | None]) -> list[HCompEdge] | None:
     """A cycle of the predecessor graph, edges in the contraction's direction, or None; O(k) per call."""
-    step = {v: (i, hc.edges[i].source) for v, i in enumerate(pred) if i is not None}
+    step = {v: (j, hc.contraction[0][j]) for v, j in enumerate(pred) if j is not None}
     seen: set[int] = set()
     for v in step:
         if (cycle := _walk_to_cycle(v, step, seen)) is not None:
-            return [hc.edges[i] for i in reversed(cycle)]
+            return [hc.edge(j) for j in reversed(cycle)]
     return None
 
 

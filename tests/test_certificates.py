@@ -180,3 +180,62 @@ class TestVerifyCertificate:
         doc = cert.to_json_dict()
         assert doc == {"c": ["-1/3", "0", "2/3"], "c0": "-1"}
         assert Certificate.from_json_dict(doc) == cert
+
+
+def fraction_verify(g, h, cert, contains_origin):
+    """The reference for verify_certificate: its earlier check, one Fraction comparison per edge."""
+    if len(cert.c) != g.n:
+        return False
+    c, c0 = cert.c, cert.c0
+    if (c0 != 0) if contains_origin else (c0 >= 0):
+        return False
+    level = [x + c0 for x in c]
+    for i, (u, v) in enumerate(g.edges):
+        if i in h.mask:
+            if c[u - 1] != level[v - 1]:
+                return False
+        elif c[u - 1] <= level[v - 1]:
+            return False
+    return True
+
+
+def tampered(cert, v, step):
+    """The certificate, copies with coefficient v or c0 moved by +-step, and c negated."""
+    yield cert
+    for d in (step, -step):
+        yield Certificate(cert.c[:v] + (cert.c[v] + d,) + cert.c[v + 1:], cert.c0)
+        yield Certificate(cert.c, cert.c0 + d)
+    yield Certificate(tuple(-x for x in cert.c), cert.c0)
+
+
+class TestIntegerVerifierMatchesFractions:
+    def test_every_subgraph_up_to_four_vertices(self):
+        # Every certificate emitted for H, with or without the origin, is
+        # checked by both verifiers under both origin flags: its tampered
+        # copies against H, and the certificate itself against H with one
+        # edge flipped, or with its first edge swapped for the first edge
+        # outside it; the moved coefficient and edge cycle with the mask.
+        from rootpoly.certificates import certify
+        from rootpoly.crosscheck import all_dags
+
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 5):
+            for g in all_dags(n):
+                m = len(g.edges)
+                subgraphs = [Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1)) for mask in range(1 << m)]
+                for mask, h in enumerate(subgraphs):
+                    hc = build_hcomp(g, h)
+                    for emitted in [o for o, ok in ((True, hc.is_tilde_face()), (False, hc.is_q_face())) if ok]:
+                        cert = certify(hc, emitted)
+                        assert verify_certificate(g, h, cert, emitted)
+                        pairs = [(copy, h) for copy in tampered(cert, mask % n, F(1, m + 1))]
+                        if m:
+                            pairs.append((cert, subgraphs[mask ^ 1 << mask % m]))
+                        if 0 < mask < (1 << m) - 1:
+                            pairs.append((cert, subgraphs[mask ^ (mask & -mask) ^ (~mask & (mask + 1))]))
+                        for candidate, sub in pairs:
+                            for origin in (True, False):
+                                got = verify_certificate(g, sub, candidate, origin)
+                                assert got == fraction_verify(g, sub, candidate, origin), (g, sub.edges, candidate, origin)
+                                verdicts[got] += 1
+        assert verdicts[True] > 10_000 and verdicts[False] > 50_000

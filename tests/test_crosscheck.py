@@ -52,6 +52,25 @@ class TestRandomDags:
                 "assert random_dag(random.Random(0), 7, 10**12) == random_dag(random.Random(0), 7)")
         assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
+    def test_million_vertices_are_refused_fast(self):
+        # 10**6 vertices have about 5 * 10**11 pairs: comparing the odds with
+        # 2**pairs would build a 62 GB integer before refusing.  The child's
+        # address space is capped at 1 GB, so a regression fails with a
+        # MemoryError rather than exhausting the host.
+        code = ("import random, resource, time, tracemalloc\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from rootpoly.crosscheck import UnreachableCapError, random_dag\n"
+                "tracemalloc.start()\n"
+                "start = time.perf_counter()\n"
+                "try:\n"
+                "    random_dag(random.Random(0), 10**6, max_edges=10)\n"
+                "except UnreachableCapError:\n"
+                "    print(time.perf_counter() - start, tracemalloc.get_traced_memory()[1])\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        seconds, peak = run.stdout.split()
+        assert float(seconds) < 1 and int(peak) < 1 << 20
+
     def test_accepted_caps_draw_the_same_graphs(self):
         # The first graphs of criterion 2's n = 6 sample, as drawn before
         # caps were tested.

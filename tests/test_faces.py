@@ -130,8 +130,9 @@ class TestTildeFace:
 
 def dfs_first_cycle(hc):
     """Reference: the first directed cycle a depth-first search closes, roots and edges in order."""
+    edges = hc.edges  # HComp.edges makes every edge object afresh on each access
     out = [[] for _ in range(hc.vertex_count)]
-    for idx, e in enumerate(hc.edges):
+    for idx, e in enumerate(edges):
         out[e.source].append(idx)
     state = [0] * hc.vertex_count  # 0 unvisited, 1 on the stack, 2 done
     tree_path = []  # edge indices from the root to the vertex being visited
@@ -139,10 +140,10 @@ def dfs_first_cycle(hc):
     def visit(v):
         state[v] = 1
         for idx in out[v]:
-            t = hc.edges[idx].target
+            t = edges[idx].target
             if state[t] == 1:
                 path = tree_path + [idx]
-                return path[next(i for i, j in enumerate(path) if hc.edges[j].source == t):]
+                return path[next(i for i, j in enumerate(path) if edges[j].source == t):]
             if state[t] == 0:
                 tree_path.append(idx)
                 found = visit(t)
@@ -156,7 +157,7 @@ def dfs_first_cycle(hc):
         if state[root] == 0:
             found = visit(root)
             if found:
-                return [hc.edges[i] for i in found]
+                return [edges[i] for i in found]
     return None
 
 
@@ -460,6 +461,42 @@ class TestEarlyNegativeCycle:
         assert 1 <= rounds <= 2
 
 
+class TestWitnessEdgesOnly:
+    """A query builds contracted-edge objects only for the edges of its witness."""
+
+    @pytest.mark.parametrize("sub,origin,kind", [
+        ([(1, 2)], "--with-origin", None),
+        ([(1, 2), (3, 4)], "--without-origin", None),
+        ([(1, 2), (2, 3)], "--with-origin", "loop"),
+        ([(1, 3)], "--with-origin", "cycle"),
+        ([(1, 2), (1, 3), (2, 3)], "--without-origin", "path-conflict"),
+        ([(1, 3), (2, 4)], "--without-origin", "inadmissible-cycle"),
+    ])
+    def test_cli_check_on_k6(self, tmp_path, capsys, monkeypatch, sub, origin, kind):
+        import json
+
+        from rootpoly import faces
+        from rootpoly.cli import main
+
+        made = []
+        edge_type = faces.HCompEdge
+
+        def counting(*args):
+            made.append(edge_type(*args))
+            return made[-1]
+
+        monkeypatch.setattr(faces, "HCompEdge", counting)
+        k6 = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
+        (tmp_path / "g.txt").write_text(f"6 {len(k6)}\n" + "".join(f"{u} {v}\n" for u, v in k6))
+        (tmp_path / "h.txt").write_text(f"6 {len(sub)}\n" + "".join(f"{u} {v}\n" for u, v in sub))
+        code = main(["check", str(tmp_path / "g.txt"), str(tmp_path / "h.txt"), origin, "--json"])
+        diagnostic = json.loads(capsys.readouterr().out).get("diagnostic", {})
+        assert code == (0 if kind is None else 1) and diagnostic.get("kind") == kind
+        # A loop names one edge, a path conflict the H-edge it met, and a cycle its own edges.
+        witness = {"loop": [diagnostic.get("edge")], "path-conflict": []}.get(kind, diagnostic.get("edges", []))
+        assert sorted(list(e.g_edge) for e in made) == sorted(witness)
+
+
 class TestDimensions:
     def test_rhombus(self, k3):
         assert tilde_dimension(k3) == 2
@@ -500,7 +537,7 @@ class TestOneAnalysisPerPair:
                                 ("_bellman_ford", "bellman_ford")):
                 if attr in vars(module):
                     monkeypatch.setattr(module, attr, counting(stage, vars(module)[attr]))
-        contraction = HComp.__dict__["edges"]
+        contraction = HComp.__dict__["contraction"]
         monkeypatch.setattr(contraction, "func", counting("contraction", contraction.func))
         return counts
 
