@@ -12,7 +12,6 @@ programming.
 from .certificates import (
     Certificate,
     NotAFaceError,
-    ShiftVector,
     q_certificate,
     solve_shift_vector,
     tilde_certificate,
@@ -37,7 +36,6 @@ from .faces import (
     CycleObstruction,
     FaceDescriptor,
     HComp,
-    HCompEdge,
     InadmissibleCycleObstruction,
     LoopObstruction,
     WeightFunction,
@@ -51,7 +49,6 @@ from .faces import (
     q_obstruction,
     tilde_dimension,
     tilde_obstruction,
-    weight_decrease,
 )
 from .graphs import (
     ComponentStructure,

@@ -26,10 +26,6 @@ class NotAFaceError(ValueError):
     """Asked to certify a subgraph that fails the face criterion."""
 
 
-class NotAdmissibleError(RuntimeError):
-    """Internal consistency failure: a negative cycle despite an admissible input."""
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Hyperplane coefficients c_1..c_n and right-hand side c0, all exact rationals."""
@@ -43,17 +39,6 @@ class Certificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
         return cls(tuple(Fraction(x) for x in data["c"]), Fraction(data["c0"]))
-
-
-@dataclass(frozen=True)
-class ShiftVector:
-    """Per-component correction making every leftover edge inequality strict.
-
-    Satisfies wd(e) + d[source] - d[target] > -1 for every edge of the
-    contracted multigraph, checked exactly.
-    """
-
-    d: tuple[Fraction, ...]
 
 
 def certify(hc: HComp, contains_origin: bool) -> Certificate:
@@ -87,21 +72,18 @@ def tilde_certificate(g: Digraph, h: Subgraph) -> Certificate:
     return certify(build_hcomp(g, h), True)
 
 
-def solve_shift_vector(hc: HComp, w: WeightFunction) -> ShiftVector:
-    """Shortest-path potentials satisfying the strict shift inequalities.
+def solve_shift_vector(hc: HComp, w: WeightFunction) -> tuple[Fraction, ...]:
+    """Per-component shifts d with w(u) - w(v) + d[source] - d[target] > -1 on every contracted G-edge (u, v).
 
-    Runs Bellman-Ford from a virtual zero-weight source over the edge
-    weights wd(e) + 1 - 1/(m+1); admissibility guarantees no negative
-    cycle, and the potentials leave slack at least 1/(m+1) on every edge.
-    Without admissibility, the negative cycle is read off the predecessor
-    graph after the first round that has one, and NotAdmissibleError raised.
-    ``certify`` reads H's own potentials off the analysis instead.
+    Bellman-Ford runs from a virtual zero-weight source over the edge weights
+    w(u) - w(v) + 1 - 1/(m+1); an inadmissible H raises NotAFaceError, as in
+    ``certify``, which reads H's own potentials off the analysis instead.
     """
     dist, bad = _bellman_ford(hc, w)
     if bad is not None:
-        raise NotAdmissibleError("negative cycle found while solving the shift system")
+        raise NotAFaceError("subgraph is not admissible")
     m1 = len(hc.contraction[2]) + 1
-    return ShiftVector(tuple(Fraction(v, m1) for v in dist))
+    return tuple(Fraction(v, m1) for v in dist)
 
 
 def q_certificate(g: Digraph, h: Subgraph) -> Certificate:

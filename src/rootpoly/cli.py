@@ -17,7 +17,7 @@ from collections import Counter
 
 from . import crosscheck
 from .certificates import NotAFaceError, certify, verify_certificate
-from .enumeration import enumerate_faces, fvector, kn_face_counts, kn_q_faces, kn_tilde_faces
+from .enumeration import count_by_dimension, enumerate_faces, fvector, kn_face_counts, kn_q_faces, kn_tilde_faces
 from .faces import (
     ConflictObstruction,
     CycleObstruction,
@@ -117,12 +117,10 @@ def _face_json(face) -> dict:
 def _cmd_enumerate(args) -> int:
     g = load_digraph(args.graph)
     trivial = args.include_trivial_faces
-    faces = enumerate_faces(g, max_edges=args.max_edges, include_empty=trivial, include_improper=True)
-    counts = Counter(f.dim for f in faces
-                     if trivial or not (f.descriptor.contains_origin and f.descriptor.subgraph.is_full()))
+    faces = enumerate_faces(g, args.max_edges, trivial)
     doc = {
         "faces": [_face_json(f) for f in faces],
-        "fvector": {str(d): c for d, c in sorted(counts.items())},
+        "fvector": {str(d): c for d, c in count_by_dimension(faces, trivial).items()},
     }
     lines = [f"{len(faces)} faces (improper included)"]
     lines += [f"  dim {f['dim']}: edges {f['edges']} origin={str(f['origin']).lower()}" for f in doc["faces"]]
@@ -142,11 +140,13 @@ def _cmd_kn(args) -> int:
         raise InputError("listings stop at n = 10; kn N --fvector counts the faces up to n = 14")
     doc: dict = {"n": n}
     lines: list[str] = []
-    empty = args.include_trivial_faces and not args.tilde_only  # listed and counted alike; the improper face always is
+    empty = args.include_trivial_faces and not args.tilde_only  # the empty face: listed and counted alike
     if args.fvector:
         counts = Counter()
         if not args.q_only:
             counts += kn_face_counts(n, True)
+            if not args.include_trivial_faces:
+                counts -= Counter({n - 1: 1})  # the improper face: always listed, counted only on request
         if not args.tilde_only:
             counts += kn_face_counts(n, False)
         if empty:
@@ -170,7 +170,7 @@ def _cmd_kn(args) -> int:
 
 def _cmd_fvector(args) -> int:
     g = load_digraph(args.graph)
-    counts = fvector(g, args.include_trivial_faces, args.include_trivial_faces, args.max_edges)
+    counts = fvector(g, args.include_trivial_faces, args.max_edges)
     doc = {"fvector": {str(d): c for d, c in counts.items()}}
     _print_doc(doc, args.json, ["f-vector " + json.dumps(doc["fvector"])])
     return 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from math import comb
 from multiprocessing import Pool
 
 from .certificates import certify, verify_certificate
@@ -121,11 +120,16 @@ def random_dag(rng: random.Random, n: int, max_edges: int | None = None) -> Digr
 
     When an edge cap is given, draws are rejected until they fit.  The edge
     count is Binomial(n(n-1)/2, 1/2), and a cap it meets with probability
-    below 2**-CAP_ODDS_BITS is refused at once, by an exact test on its bit length.
+    below 2**-CAP_ODDS_BITS is refused at once, by an exact test on its bit length;
+    a cap of at least (pairs - 1) / 2, met by half the draws, needs no test.
     """
-    if max_edges is not None:
-        pairs = n * (n - 1) // 2
-        if (sum(comb(pairs, k) for k in range(min(max_edges, pairs) + 1)) << CAP_ODDS_BITS).bit_length() <= pairs:
+    pairs = n * (n - 1) // 2
+    if max_edges is not None and 2 * max_edges < pairs - 1:
+        total, term = 0, 1
+        for k in range(max_edges + 1):  # term = C(pairs, k)
+            total += term
+            term = term * (pairs - k) // (k + 1)
+        if (total << CAP_ODDS_BITS).bit_length() <= pairs:
             raise UnreachableCapError(
                 f"edge cap {max_edges} is met by fewer than 1 in 2^{CAP_ODDS_BITS} random DAGs on {n} vertices"
             )

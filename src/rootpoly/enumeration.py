@@ -11,9 +11,9 @@ transitively closed graphs additionally have direct generators (interval
 decompositions, independent-set splits, and vertex bipartitions) that are
 cross-checked against the oracle in the test suite; a K_n listing builds
 K_n once.  Face counts are plain ``{dimension: count}`` dicts in increasing
-dimension: ``fvector`` counts what ``enumerate_faces`` lists, and
-``kn_face_counts``, the one f-vector formula for K_n, backs the
-``kn --fvector`` command, which the test suite checks against ``fvector``.
+dimension, and ``count_by_dimension`` counts the empty and improper faces
+only on request.  ``fvector`` counts what ``enumerate_faces`` lists, and
+``kn_face_counts``, the one f-vector formula for K_n, backs ``kn --fvector``.
 """
 
 from __future__ import annotations
@@ -102,13 +102,8 @@ def face_closure(g: Digraph, points: int) -> tuple[int, int]:
     return closed, count
 
 
-def enumerate_faces(
-    g: Digraph,
-    max_edges: int = 20,
-    include_empty: bool = False,
-    include_improper: bool = True,
-) -> list[EnumeratedFace]:
-    """All faces of the polytope of G, one descriptor each, sorted canonically.
+def enumerate_faces(g: Digraph, max_edges: int = 20, include_empty: bool = False) -> list[EnumeratedFace]:
+    """All faces of the polytope of G, one descriptor each, sorted canonically; the empty face only on request.
 
     Every face is the smallest face holding its own points, so NextClosure
     (Ganter 1984) over the m + 1 points, the origin first and then the
@@ -128,8 +123,7 @@ def enumerate_faces(
     while True:
         h = Subgraph(g, frozenset(i for i in range(m) if points >> (i + 1) & 1))
         if points & 1:
-            if include_improper or points != everything:
-                out.append(EnumeratedFace(FaceDescriptor(h, True), g.n - count))
+            out.append(EnumeratedFace(FaceDescriptor(h, True), g.n - count))
         elif points or include_empty:
             out.append(EnumeratedFace(FaceDescriptor(h, False), g.n - count - 1))
         if points == everything:
@@ -150,15 +144,16 @@ def enumerate_faces(
     return out
 
 
-def fvector(
-    g: Digraph,
-    include_empty: bool = False,
-    include_improper: bool = False,
-    max_edges: int = 20,
-) -> dict[int, int]:
-    """Counts of the faces ``enumerate_faces`` lists, by dimension, in increasing dimension."""
-    counts = Counter(f.dim for f in enumerate_faces(g, max_edges, include_empty, include_improper))
+def count_by_dimension(faces: list[EnumeratedFace], include_trivial: bool) -> dict[int, int]:
+    """Counts of listed faces by dimension, in increasing dimension; the improper face only with include_trivial."""
+    counts = Counter(f.dim for f in faces
+                     if include_trivial or not (f.descriptor.contains_origin and f.descriptor.subgraph.is_full()))
     return dict(sorted(counts.items()))
+
+
+def fvector(g: Digraph, include_trivial: bool = False, max_edges: int = 20) -> dict[int, int]:
+    """Face counts of the polytope of G by dimension; the empty and improper faces only with include_trivial."""
+    return count_by_dimension(enumerate_faces(g, max_edges, include_trivial), include_trivial)
 
 
 # --- complete graphs -----------------------------------------------------------

@@ -13,11 +13,12 @@ Both questions, their witnesses and the certificates read one analysis of
 the pair, ``build_hcomp(g, h)``: a single breadth-first search of H, then
 the contraction (three parallel lists of ints), its sink-first order and
 Bellman-Ford, each at most once and only when asked for.  Negative answers
-come with small checkable witnesses, whose edges alone become ``HCompEdge``
-objects.  Each cycle is found by one walk, ``_walk_to_cycle``: a directed
-cycle is read off the Kahn pass, and a negative (inadmissible) one off the
-predecessor graph after the first Bellman-Ford round that has one, usually
-long before round k.
+come with small checkable witnesses: lists of G-edge indices read off the
+contraction, turned into edges only when an obstruction is built.  Each
+cycle is found by one walk, ``_walk_to_cycle``: a directed cycle is read
+off the Kahn pass, and a negative (inadmissible) one off the predecessor
+graph after the first Bellman-Ford round that has one, usually long before
+round k.
 """
 
 from __future__ import annotations
@@ -38,21 +39,6 @@ from .graphs import (
     sink_first_labels,
     undirected_components,
 )
-
-
-@dataclass(frozen=True)
-class HCompEdge:
-    """One edge of the contracted multigraph.
-
-    ``source``/``target`` are component ids of H's undirected components;
-    ``label`` is the index in E(G) of the underlying edge of E(G)\\E(H), and
-    ``g_edge`` its endpoints.
-    """
-
-    source: int
-    target: int
-    label: int
-    g_edge: Edge
 
 
 @dataclass(frozen=True)
@@ -84,21 +70,12 @@ class HComp:
         arcs = [self.g.arcs[i] for i in labels]
         return [comp[u] for u, _ in arcs], [comp[v] for _, v in arcs], labels
 
-    def edge(self, j: int) -> HCompEdge:
-        """Contracted edge j as an object, made only for the edges of a witness."""
-        sources, targets, labels = self.contraction
-        return HCompEdge(sources[j], targets[j], labels[j], self.g.edges[labels[j]])
-
-    @property
-    def edges(self) -> tuple[HCompEdge, ...]:
-        """Every contracted edge as an object, made afresh on each call; no predicate reads it."""
-        return tuple(map(self.edge, range(len(self.contraction[2]))))
-
     @cached_property
-    def loop(self) -> HCompEdge | None:
-        """The first contracted edge that joins a component to itself."""
-        j = next(compress(count(), map(eq, *self.contraction[:2])), None)
-        return None if j is None else self.edge(j)
+    def loop(self) -> int | None:
+        """Index in E(G) of the first contracted edge that joins a component to itself, or None."""
+        sources, targets, labels = self.contraction
+        j = next(compress(count(), map(eq, sources, targets)), None)
+        return None if j is None else labels[j]
 
     @cached_property
     def removal_order(self) -> list[int]:
@@ -116,7 +93,7 @@ class HComp:
         return _weight_function(self.components)
 
     @cached_property
-    def potentials(self) -> tuple[list[int], list[HCompEdge] | None]:
+    def potentials(self) -> tuple[list[int], list[int] | None]:
         """Bellman-Ford over H's own weights, as (potentials, negative cycle); H must be path consistent."""
         return _bellman_ford(self, self.weights)
 
@@ -125,9 +102,9 @@ class HComp:
 
     def tilde_obstruction(self) -> TildeObstruction | None:
         if self.loop is not None:
-            return LoopObstruction(self.loop.g_edge)
+            return LoopObstruction(self.g.edges[self.loop])
         if self.order is None:
-            return CycleObstruction(tuple(e.g_edge for e in _directed_cycle(self)))
+            return CycleObstruction(tuple(self.g.edges[i] for i in _directed_cycle(self)))
         return None
 
     def is_q_face(self) -> bool:
@@ -137,7 +114,7 @@ class HComp:
         conflict = self.components.conflict
         if conflict is not None:
             return ConflictObstruction(*conflict)
-        return _inadmissible_cycle(self.weights, self.potentials[1])
+        return _inadmissible_cycle(self.g, self.weights, self.potentials[1])
 
 
 @dataclass(frozen=True)
@@ -238,20 +215,22 @@ def _walk_to_cycle(start: int, step: dict[int, tuple[int, int]], seen: set[int])
     return walk[position[v]:]
 
 
-def _directed_cycle(hc: HComp) -> list[HCompEdge]:
+def _directed_cycle(hc: HComp) -> list[int]:
     """A directed cycle of a loopless contraction that Kahn's pass could not order.
 
     The components Kahn leaves at 0 lie on a cycle or upstream of one, so
     each has an edge into another.  From the smallest of them, leave every
     component by its first such edge until one repeats: the cycle a
-    depth-first search from the first component would close.
+    depth-first search from the first component would close.  Returns the
+    G-edge indices of the cycle, in walk order.
     """
     left = hc.removal_order
+    sources, targets, labels = hc.contraction
     step: dict[int, tuple[int, int]] = {}
-    for j, (s, t) in enumerate(zip(*hc.contraction[:2])):
+    for j, (s, t) in enumerate(zip(sources, targets)):
         if left[s] == 0 == left[t] and s not in step:
             step[s] = (j, t)
-    return [hc.edge(j) for j in _walk_to_cycle(left.index(0), step, set())]
+    return [labels[j] for j in _walk_to_cycle(left.index(0), step, set())]
 
 
 # --- the origin question -----------------------------------------------------
@@ -296,12 +275,6 @@ def path_consistency(h: GraphLike) -> WeightFunction | None:
     return _weight_function(undirected_components(h))
 
 
-def weight_decrease(w: WeightFunction, e: HCompEdge) -> int:
-    """Weight drop along the G-edge labelling a contracted edge: w(source) - w(target)."""
-    u, v = e.g_edge
-    return w[u] - w[v]
-
-
 # --- admissibility -----------------------------------------------------------
 #
 # Admissibility asks every directed cycle C of the contraction to satisfy
@@ -311,15 +284,16 @@ def weight_decrease(w: WeightFunction, e: HCompEdge) -> int:
 # Bellman-Ford finds with integer arithmetic.
 
 
-def _bellman_ford(hc: HComp, w: WeightFunction) -> tuple[list[int], list[HCompEdge] | None]:
+def _bellman_ford(hc: HComp, w: WeightFunction) -> tuple[list[int], list[int] | None]:
     """Shortest-walk potentials from a virtual zero-weight source to every vertex.
 
     Returns (potentials, negative_cycle) for the scaled weights of w; the
     potentials are in units of 1/(m+1) and only meaningful when no negative
-    cycle exists.  The cycle is read off the predecessor graph after the
-    first round that leaves one there; every such cycle is negative (Tarjan
-    1981).  A vertex whose potential drops in round r has a predecessor
-    chain of r edges or one that reaches a cycle, so round k leaves one.
+    cycle exists.  The cycle, as G-edge indices, is read off the predecessor
+    graph after the first round that leaves one there; every such cycle is
+    negative (Tarjan 1981).  A vertex whose potential drops in round r has a
+    predecessor chain of r edges or one that reaches a cycle, so round k
+    leaves one.
     """
     k = hc.vertex_count
     sources, targets, labels = hc.contraction
@@ -343,23 +317,25 @@ def _bellman_ford(hc: HComp, w: WeightFunction) -> tuple[list[int], list[HCompEd
     raise AssertionError("round k changed a potential but left no predecessor cycle")
 
 
-def _predecessor_cycle(hc: HComp, pred: list[int | None]) -> list[HCompEdge] | None:
-    """A cycle of the predecessor graph, edges in the contraction's direction, or None; O(k) per call."""
-    step = {v: (j, hc.contraction[0][j]) for v, j in enumerate(pred) if j is not None}
+def _predecessor_cycle(hc: HComp, pred: list[int | None]) -> list[int] | None:
+    """G-edge indices of a cycle of the predecessor graph, in the contraction's direction, or None; O(k) per call."""
+    sources, _, labels = hc.contraction
+    step = {v: (j, sources[j]) for v, j in enumerate(pred) if j is not None}
     seen: set[int] = set()
     for v in step:
         if (cycle := _walk_to_cycle(v, step, seen)) is not None:
-            return [hc.edge(j) for j in reversed(cycle)]
+            return [labels[j] for j in reversed(cycle)]
     return None
 
 
-def _inadmissible_cycle(w: WeightFunction, bad: list[HCompEdge] | None) -> InadmissibleCycleObstruction | None:
+def _inadmissible_cycle(g: Digraph, w: WeightFunction, bad: list[int] | None) -> InadmissibleCycleObstruction | None:
     if bad is None:
         return None
-    total = sum(weight_decrease(w, e) for e in bad)
-    if total > -len(bad):
+    edges = tuple(g.edges[i] for i in bad)
+    total = sum(w[u] - w[v] for u, v in edges)
+    if total > -len(edges):
         raise AssertionError("extracted cycle does not violate admissibility")
-    return InadmissibleCycleObstruction(tuple(e.g_edge for e in bad), total)
+    return InadmissibleCycleObstruction(edges, total)
 
 
 def is_admissible(g: Digraph, h: Subgraph, w: WeightFunction) -> bool:
@@ -369,7 +345,7 @@ def is_admissible(g: Digraph, h: Subgraph, w: WeightFunction) -> bool:
 
 def admissibility_obstruction(g: Digraph, h: Subgraph, w: WeightFunction) -> InadmissibleCycleObstruction | None:
     """A violating directed cycle with its weight-decrease total, or None."""
-    return _inadmissible_cycle(w, _bellman_ford(build_hcomp(g, h), w)[1])
+    return _inadmissible_cycle(g, w, _bellman_ford(build_hcomp(g, h), w)[1])
 
 
 # --- the no-origin question ----------------------------------------------------

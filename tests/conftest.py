@@ -53,7 +53,7 @@ def _canonical(face):
     return face.dim, face.descriptor.contains_origin, face.descriptor.subgraph.indices
 
 
-def faces_in_mask_range(g, include_empty=False, include_improper=True, start=0, stop=None):
+def faces_in_mask_range(g, include_empty=False, start=0, stop=None):
     """The reference sweep: every spanning subgraph whose mask lies in [start, stop), one analysis each.
 
     With r undirected components of H, the origin-containing face has
@@ -70,7 +70,7 @@ def faces_in_mask_range(g, include_empty=False, include_improper=True, start=0, 
         h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
         hc = build_hcomp(g, h)
         dim = g.n - hc.vertex_count
-        if hc.is_tilde_face() and (include_improper or not h.is_full()):
+        if hc.is_tilde_face():
             out.append(EnumeratedFace(FaceDescriptor(h, True), dim))
         if (mask or include_empty) and hc.is_q_face():
             out.append(EnumeratedFace(FaceDescriptor(h, False), dim - 1))

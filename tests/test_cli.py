@@ -54,6 +54,14 @@ class TestCheck:
         assert diag["wd_total"] == -2 and diag["length"] == 2
         assert sorted(map(tuple, diag["edges"])) == [(1, 4), (2, 3)]
 
+    def test_loop_at_edge_index_zero(self, tmp_path, capsys):
+        # The loop is G's edge 0, which a truthiness test on the loop's index would miss.
+        (tmp_path / "g.txt").write_text("3 3\n1 3\n1 2\n2 3\n")
+        (tmp_path / "h.txt").write_text("3 2\n1 2\n2 3\n")
+        code, out, _ = run(capsys, "check", str(tmp_path / "g.txt"), str(tmp_path / "h.txt"), "--with-origin", "--json")
+        assert code == 1
+        assert json.loads(out)["diagnostic"] == {"kind": "loop", "edge": [1, 3]}
+
     def test_positive_with_certificate(self, files, capsys):
         code, out, _ = run(capsys, "check", files["k3"], files["h12"], "--with-origin", "--json")
         assert code == 0
@@ -124,7 +132,7 @@ class TestKn:
     def test_tilde_fvector(self, capsys):
         code, out, _ = run(capsys, "kn", "3", "--fvector", "--tilde-only", "--json")
         assert code == 0
-        assert json.loads(out)["fvector"] == {"0": 1, "1": 2, "2": 1}
+        assert json.loads(out)["fvector"] == {"0": 1, "1": 2}
 
     def test_generated_faces_n2(self, capsys):
         code, out, _ = run(capsys, "kn", "2", "--json")
@@ -133,29 +141,36 @@ class TestKn:
 
     def test_combined_fvector_matches_rhombus(self, capsys):
         code, out, _ = run(capsys, "kn", "3", "--fvector", "--json")
-        # Binomial part includes the improper face, so dim 2 counts 1.
-        assert json.loads(out)["fvector"] == {"0": 4, "1": 4, "2": 1}
+        # The improper face, the rhombus itself, is counted only with --include-trivial-faces.
+        assert json.loads(out)["fvector"] == {"0": 4, "1": 4}
+        code, out, _ = run(capsys, "kn", "3", "--fvector", "--json", "--include-trivial-faces")
+        assert json.loads(out)["fvector"] == {"-1": 1, "0": 4, "1": 4, "2": 1}
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_fvector_agrees_with_the_library_and_the_oracle(self, capsys, n):
-        # The closed form against the enumeration, in order of dimension; kn always counts the improper face.
+        # The closed form against the enumeration, in order of dimension, under the one trivial-face rule.
         from rootpoly.enumeration import fvector
         from rootpoly.graphs import complete_graph
 
         kn = complete_graph(n)
         for trivial in ([], ["--include-trivial-faces"]):
             code, out, _ = run(capsys, "kn", str(n), "--fvector", "--json", *trivial)
-            oracle = fvector(kn, include_empty=bool(trivial), include_improper=True, max_edges=len(kn.edges))
+            oracle = fvector(kn, bool(trivial), max_edges=len(kn.edges))
             assert code == 0
             assert list(json.loads(out)["fvector"].items()) == [(str(d), c) for d, c in oracle.items()]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_listing_holds_the_faces_the_count_counts(self, capsys, n):
+        # A listing always holds the improper face; a count holds it only with --include-trivial-faces.
+        improper = {"edges": [[u, v] for u in range(1, n + 1) for v in range(u + 1, n + 1)], "origin": True}
         for only in ([], ["--tilde-only"], ["--q-only"]):
             for trivial in ([], ["--include-trivial-faces"]):
                 _, listed, _ = run(capsys, "kn", str(n), "--json", *only, *trivial)
                 _, counted, _ = run(capsys, "kn", str(n), "--fvector", "--json", *only, *trivial)
-                assert len(json.loads(listed)["faces"]) == sum(json.loads(counted)["fvector"].values())
+                faces = json.loads(listed)["faces"]
+                assert (improper in faces) == (only != ["--q-only"])
+                counted_faces = faces if trivial else [f for f in faces if f != improper]
+                assert len(counted_faces) == sum(json.loads(counted)["fvector"].values())
 
     def test_trivial_faces_flag_lists_the_empty_face_first_without_the_origin(self, capsys):
         _, out, _ = run(capsys, "kn", "3", "--json")
@@ -299,13 +314,13 @@ class TestOutputBoundary:
         assert proc.stderr.startswith("error: listings stop at n = 10")
 
     def test_kn_14_fvector_counts_without_listing(self):
-        proc = subprocess.run([sys.executable, "-m", "rootpoly", "kn", "14", "--fvector", "--json"],
-                              capture_output=True, text=True, timeout=30)
+        proc = subprocess.run([sys.executable, "-m", "rootpoly", "kn", "14", "--fvector", "--json",
+                               "--include-trivial-faces"], capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0 and proc.stderr == ""
         fv = {int(d): c for d, c in json.loads(proc.stdout)["fvector"].items()}
-        assert min(fv) == 0 and max(fv) == 13 and fv[13] == 1
-        # Euler-Poincare with the empty face, which this count leaves out.
-        assert sum((-1) ** d * c for d, c in fv.items()) == 1
+        assert min(fv) == -1 and max(fv) == 13 and fv[-1] == fv[13] == 1
+        # Euler-Poincare, with both trivial faces counted.
+        assert sum((-1) ** d * c for d, c in fv.items()) == 0
 
 
 class TestNonAsciiInput:

@@ -52,6 +52,23 @@ class TestRandomDags:
                 "assert random_dag(random.Random(0), 7, 10**12) == random_dag(random.Random(0), 7)")
         assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
+    def test_huge_cap_on_a_large_graph_is_tested_quickly(self):
+        # On 300 vertices (44,850 pairs) a cap of 10**9 is met by every draw,
+        # so it needs no sum of 44,851 binomials of up to 44,850 bits.  The
+        # child only tests the cap: its rng stops random_dag at the first shuffle.
+        code = ("import time; from rootpoly.crosscheck import random_dag\n"
+                "class Stop(Exception): pass\n"
+                "class NoDraw:\n"
+                "    def shuffle(self, _): raise Stop\n"
+                "start = time.perf_counter()\n"
+                "try:\n"
+                "    random_dag(NoDraw(), 300, max_edges=10**9)\n"
+                "except Stop:\n"
+                "    print(time.perf_counter() - start)\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) < 1
+
     def test_million_vertices_are_refused_fast(self):
         # 10**6 vertices have about 5 * 10**11 pairs: comparing the odds with
         # 2**pairs would build a 62 GB integer before refusing.  The child's

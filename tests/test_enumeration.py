@@ -36,10 +36,10 @@ from rootpoly.hull import TooLargeError, descriptor_indices, enumerate_faces_bru
 
 
 def kn_proper_counts(capsys, n):
-    """``kn N --fvector`` without its improper face, the one face of top dimension n - 1."""
+    """``kn N --fvector``, which counts neither trivial face: nothing of dimension -1 or n - 1."""
     assert main(["kn", str(n), "--fvector", "--json"]) == 0
     counts = {int(d): c for d, c in json.loads(capsys.readouterr().out)["fvector"].items()}
-    assert counts.pop(n - 1) == 1
+    assert not {-1, n - 1} & set(counts)
     return counts
 
 
@@ -110,7 +110,7 @@ class TestEnumerateFaces:
         from rootpoly.crosscheck import random_dags
 
         for g in [k4, square_graph] + random_dags(29, 5, 4, max_edges=7):
-            fv = fvector(g, include_empty=True, include_improper=True)
+            fv = fvector(g, include_trivial=True)
             assert sum((-1) ** d * c for d, c in fv.items()) == 0
 
     def test_face_vertex_sets_closed_under_intersection(self, k4):
@@ -197,7 +197,7 @@ class TestOutputSensitive:
     @pytest.mark.parametrize("graph", ["k6", "square"])
     def test_closures_per_face(self, calls, square_graph, graph):
         g = complete_graph(6) if graph == "k6" else square_graph
-        closed = len(enumerate_faces(g, include_empty=True, include_improper=True))
+        closed = len(enumerate_faces(g, include_empty=True))
         m = len(g.edges)
         assert 0 < calls["closure"] <= closed * (m + 1)
         assert calls["analysis"] == 0
@@ -385,10 +385,9 @@ class TestFVector:
 
     def test_oracle_matches_brute_force_with_flags(self, square_graph):
         lat = enumerate_faces_bruteforce(square_graph)
-        for empty in (False, True):
-            for improper in (False, True):
-                fv = fvector(square_graph, include_empty=empty, include_improper=improper)
-                assert fv == lat.f_vector(include_empty=empty, include_improper=improper)
+        for trivial in (False, True):
+            fv = fvector(square_graph, include_trivial=trivial)
+            assert fv == lat.f_vector(include_empty=trivial, include_improper=trivial)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kn_counts_match_the_generated_data(self, n):

@@ -20,7 +20,6 @@ from rootpoly.faces import (
     q_obstruction,
     tilde_dimension,
     tilde_obstruction,
-    weight_decrease,
     _directed_cycle,
     _walk_to_cycle,
 )
@@ -40,14 +39,19 @@ def all_subgraphs(g):
         yield Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
 
 
+def contracted_edges(hc):
+    """Each contracted edge as (source component, target component, G-edge)."""
+    sources, targets, labels = hc.contraction
+    return [(s, t, hc.g.edges[i]) for s, t, i in zip(sources, targets, labels)]
+
+
 class TestHComp:
     def test_k3_path_contracts_to_loop(self, k3):
         h = k3.subgraph([(1, 2), (2, 3)])
         hc = build_hcomp(k3, h)
         assert hc.vertex_count == 1
-        assert len(hc.edges) == 1
-        e = hc.edges[0]
-        assert e.source == e.target == 0 and e.g_edge == (1, 3)
+        assert contracted_edges(hc) == [(0, 0, (1, 3))]
+        assert hc.loop == k3.edge_index[(1, 3)]
 
     def test_square_pyramid_diagonal(self, square_graph):
         h = square_graph.subgraph([(1, 3), (2, 4)])
@@ -55,18 +59,17 @@ class TestHComp:
         assert hc.vertex_count == 2
         comp = hc.components.component
         assert comp(1) == comp(3) == 0 and comp(2) == comp(4) == 1
-        arcs = {(e.source, e.target, e.g_edge) for e in hc.edges}
-        assert arcs == {(0, 1, (1, 4)), (1, 0, (2, 3))}
+        assert set(contracted_edges(hc)) == {(0, 1, (1, 4)), (1, 0, (2, 3))}
 
     def test_full_subgraph_contracts_to_edgeless(self, k4):
         hc = build_hcomp(k4, k4.full_subgraph())
-        assert hc.edges == ()
+        assert hc.contraction == ([], [], [])
         assert hc.vertex_count == 1
 
     def test_labels_biject_onto_leftover_edges(self, k4):
         h = k4.subgraph([(1, 2), (3, 4)])
         hc = build_hcomp(k4, h)
-        assert sorted(e.label for e in hc.edges) == sorted(set(range(6)) - set(h.mask))
+        assert hc.contraction[2] == sorted(set(range(6)) - set(h.mask))
 
 
 class TestTildeFace:
@@ -129,21 +132,21 @@ class TestTildeFace:
 
 
 def dfs_first_cycle(hc):
-    """Reference: the first directed cycle a depth-first search closes, roots and edges in order."""
-    edges = hc.edges  # HComp.edges makes every edge object afresh on each access
+    """Reference: the G-edge indices of the first directed cycle a depth-first search closes, in order."""
+    sources, targets, labels = hc.contraction
     out = [[] for _ in range(hc.vertex_count)]
-    for idx, e in enumerate(edges):
-        out[e.source].append(idx)
+    for idx, s in enumerate(sources):
+        out[s].append(idx)
     state = [0] * hc.vertex_count  # 0 unvisited, 1 on the stack, 2 done
-    tree_path = []  # edge indices from the root to the vertex being visited
+    tree_path = []  # contracted-edge indices from the root to the vertex being visited
 
     def visit(v):
         state[v] = 1
         for idx in out[v]:
-            t = edges[idx].target
+            t = targets[idx]
             if state[t] == 1:
                 path = tree_path + [idx]
-                return path[next(i for i, j in enumerate(path) if edges[j].source == t):]
+                return path[next(i for i, j in enumerate(path) if sources[j] == t):]
             if state[t] == 0:
                 tree_path.append(idx)
                 found = visit(t)
@@ -157,7 +160,7 @@ def dfs_first_cycle(hc):
         if state[root] == 0:
             found = visit(root)
             if found:
-                return [edges[i] for i in found]
+                return [labels[i] for i in found]
     return None
 
 
@@ -209,8 +212,8 @@ class TestLooplessPartition:
 
     def test_agrees_with_loop_scan(self, k4):
         for h in all_subgraphs(k4):
-            hc = build_hcomp(k4, h)
-            has_loop = any(e.source == e.target for e in hc.edges)
+            sources, targets, _ = build_hcomp(k4, h).contraction
+            has_loop = any(s == t for s, t in zip(sources, targets))
             assert (loopless_partition(k4, h) is None) == has_loop
 
 
@@ -245,29 +248,6 @@ class TestPathConsistency:
     def test_backward_labelled_edge(self):
         h = validate(3, [(3, 1), (1, 2)])
         assert path_consistency(h).values == (1, 2, 0)
-
-
-class TestWeightDecrease:
-    def test_square_pyramid_example(self, square_graph):
-        h = square_graph.subgraph([(1, 3), (2, 4)])
-        w = path_consistency(h)
-        hc = build_hcomp(square_graph, h)
-        by_edge = {e.g_edge: weight_decrease(w, e) for e in hc.edges}
-        assert by_edge == {(1, 4): -1, (2, 3): -1}
-
-    def test_skipped_chain_loop(self, k3):
-        h = k3.subgraph([(1, 2), (2, 3)])
-        w = WeightFunction((0, 1, 2))
-        hc = build_hcomp(k3, h)
-        (loop,) = hc.edges
-        assert weight_decrease(w, loop) == -2
-
-    def test_weight_sources_give_zero(self, k4):
-        h = k4.subgraph([(1, 2), (3, 4)])
-        w = path_consistency(h)
-        hc = build_hcomp(k4, h)
-        e13 = next(e for e in hc.edges if e.g_edge == (1, 3))
-        assert weight_decrease(w, e13) == 0
 
 
 class TestAdmissibility:
@@ -348,10 +328,14 @@ class TestQFace:
         assert obs.existing != obs.implied
 
     def test_cycle_obstruction_for_diagonal(self, square_graph):
-        obs = q_obstruction(square_graph, square_graph.subgraph([(1, 3), (2, 4)]))
+        h = square_graph.subgraph([(1, 3), (2, 4)])
+        obs = q_obstruction(square_graph, h)
         assert isinstance(obs, InadmissibleCycleObstruction)
         assert set(obs.edges) == {(1, 4), (2, 3)}
         assert obs.total == -2 and obs.length == 2
+        # The total is the sum of the weight decreases w(u) - w(v), each -1 here.
+        w = path_consistency(h)
+        assert [w[u] - w[v] for u, v in obs.edges] == [-1, -1]
 
     def test_cycle_obstructions_violate_the_bound(self, k4, square_graph):
         # Each reported cycle must be independently checkable.  The third
@@ -462,7 +446,7 @@ class TestEarlyNegativeCycle:
 
 
 class TestWitnessEdgesOnly:
-    """A query builds contracted-edge objects only for the edges of its witness."""
+    """A query's witness names only edges of G: outside H for a loop or cycle, in H for a path conflict."""
 
     @pytest.mark.parametrize("sub,origin,kind", [
         ([(1, 2)], "--with-origin", None),
@@ -472,20 +456,11 @@ class TestWitnessEdgesOnly:
         ([(1, 2), (1, 3), (2, 3)], "--without-origin", "path-conflict"),
         ([(1, 3), (2, 4)], "--without-origin", "inadmissible-cycle"),
     ])
-    def test_cli_check_on_k6(self, tmp_path, capsys, monkeypatch, sub, origin, kind):
+    def test_cli_check_on_k6(self, tmp_path, capsys, sub, origin, kind):
         import json
 
-        from rootpoly import faces
         from rootpoly.cli import main
 
-        made = []
-        edge_type = faces.HCompEdge
-
-        def counting(*args):
-            made.append(edge_type(*args))
-            return made[-1]
-
-        monkeypatch.setattr(faces, "HCompEdge", counting)
         k6 = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
         (tmp_path / "g.txt").write_text(f"6 {len(k6)}\n" + "".join(f"{u} {v}\n" for u, v in k6))
         (tmp_path / "h.txt").write_text(f"6 {len(sub)}\n" + "".join(f"{u} {v}\n" for u, v in sub))
@@ -493,8 +468,11 @@ class TestWitnessEdgesOnly:
         diagnostic = json.loads(capsys.readouterr().out).get("diagnostic", {})
         assert code == (0 if kind is None else 1) and diagnostic.get("kind") == kind
         # A loop names one edge, a path conflict the H-edge it met, and a cycle its own edges.
-        witness = {"loop": [diagnostic.get("edge")], "path-conflict": []}.get(kind, diagnostic.get("edges", []))
-        assert sorted(list(e.g_edge) for e in made) == sorted(witness)
+        if kind == "path-conflict":
+            assert tuple(diagnostic["edge"]) in sub
+        elif kind is not None:
+            witness = [diagnostic["edge"]] if kind == "loop" else diagnostic["edges"]
+            assert witness and all(tuple(e) in k6 and tuple(e) not in sub for e in witness)
 
 
 class TestDimensions:
