@@ -4,11 +4,16 @@ All types are immutable after construction and safe to share across workers.
 Edge identity is positional: a subgraph is a subset of the parent's edge
 indices, which keeps certificates and JSON output stable.  A Digraph's
 validation indexes its edges once, for every later reader of the list.
+The edge-list reader turns canonical text (one space between the numbers,
+one newline after each row, every number written as ``str()`` writes it)
+into edges through a lookup table and finds a subgraph file's edges in that
+index; any other text goes through the one loop that raises.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -360,7 +365,37 @@ def format_edge_list(g: GraphLike) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Rows of two ASCII decimals one space apart, each ended by "\n" except perhaps the last.
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)*[0-9]+ [0-9]+\n?")
+
+
+def _parse_canonical(text: str) -> tuple[int, tuple[Edge, ...]] | None:
+    """What _parse_lines returns for canonical text, or None for any other text.
+
+    Canonical: the rows match ``_CANONICAL``, exactly m edge rows follow the
+    header, n is at most MAX_VERTICES, and every endpoint is written
+    ``str(v)`` for some 1 <= v <= min(n, 2m).  On such text ``int()`` would
+    give the same numbers, so the table lookup changes nothing but the cost.
+    """
+    if not _CANONICAL.fullmatch(text):
+        return None
+    tokens = text.split()
+    m = len(tokens) // 2 - 1
+    # The length test keeps int() below its digit limit.
+    if tokens[1] != str(m) or len(tokens[0]) > len(str(MAX_VERTICES)) or (n := int(tokens[0])) > MAX_VERTICES:
+        return None
+    table = {str(v): v for v in range(1, min(n, 2 * m) + 1)}
+    ends = map(table.__getitem__, tokens[2:])
+    try:
+        return n, tuple(zip(ends, ends))
+    except KeyError:  # 0, a leading zero or a vertex above min(n, 2m)
+        return None
+
+
 def _parse_lines(text: str) -> tuple[int, tuple[Edge, ...]]:
+    parsed = _parse_canonical(text)
+    if parsed is not None:
+        return parsed
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise GraphError("empty edge-list input")
@@ -394,7 +429,10 @@ def parse_subgraph(text: str, parent: Digraph) -> Subgraph:
     n, edges = _parse_lines(text)
     if n != parent.n:
         raise GraphError(f"subgraph has {n} vertices but the parent has {parent.n}")
-    return parent.subgraph(edges)
+    mask = frozenset(map(parent.edge_index.get, edges))
+    if None in mask or len(mask) != len(edges):
+        return parent.subgraph(edges)  # raises at the first missing or repeated edge
+    return Subgraph(parent, mask)
 
 
 def _read_ascii(path) -> str:

@@ -1,11 +1,15 @@
 import json
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
+from conftest import edge_list_text, mutate_edge_list
 
 from rootpoly.cli import main
+from rootpoly.crosscheck import random_dag
 
 K3 = "3 3\n1 2\n1 3\n2 3\n"
 SQUARE = "4 4\n1 3\n1 4\n2 3\n2 4\n"
@@ -337,6 +341,30 @@ class TestNonAsciiInput:
         bad.write_bytes("3 1\n1 2 \u2192\n".encode("utf-8"))
         code, _, err = run(capsys, "check", files["k3"], str(bad), "--without-origin")
         assert code == 2 and err.startswith("error:") and "not ASCII" in err
+
+
+@pytest.mark.parametrize("command", ["check", "cert"])
+def test_mutated_files_end_in_an_exit_code(command, tmp_path, capsys):
+    # Seeded fuzz of the two commands that read a graph and a subgraph.
+    # fvector and verify are not fuzzed: their cost grows with isolated vertices.
+    rng = random.Random(2020)
+    g_path, h_path = tmp_path / "g.txt", tmp_path / "h.txt"
+    codes = Counter()
+    for _ in range(200):
+        g = random_dag(rng, rng.randint(1, 25))
+        rows = rng.sample(g.edges, rng.randint(0, len(g.edges)))
+        if rng.random() < 0.2:  # a reversed, missing, looped or repeated edge
+            rows.append(rng.choice(((2, 1), (1, 2), rows[0] if rows else (1, 1))))
+        for path, text in ((g_path, edge_list_text(g.n, g.edges)), (h_path, edge_list_text(g.n, rows))):
+            path.write_text(mutate_edge_list(text, rng, rng.choice((0, 0, 1, 2, 3))), encoding="utf-8")
+        argv = [command, str(g_path), str(h_path), rng.choice(("--with-origin", "--without-origin"))]
+        argv += rng.sample(["--json"], rng.randint(0, 1))
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+        codes[code] += 1
+    assert set(codes) == {0, 1, 2}  # faces, non-faces and input errors are all reached
 
 
 def test_module_entry_point(tmp_path):

@@ -1,6 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from conftest import edge_list_text, mutate_edge_list
+from hypothesis import given, settings, strategies as st
 
+import rootpoly.graphs as graphs
 from rootpoly.graphs import (
     Digraph,
     DirectedCycleError,
@@ -35,6 +37,24 @@ def dags(draw, max_n=6, p_skip=False):
     pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Digraph(n, tuple(e for e, keep in zip(pairs, picks) if keep))
+
+
+@st.composite
+def sparse_dags(draw, max_n=12, max_m=8):
+    """DAGs whose vertices may run past 2m, with two-digit labels."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    order = draw(st.permutations(list(range(1, n + 1))))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_m)) if pairs else []
+    return Digraph(n, tuple(edges))
+
+
+def outcome(parse, text, *args):
+    """What parse(text, *args) returns, or the type and message of what it raises."""
+    try:
+        return parse(text, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestValidate:
@@ -149,6 +169,39 @@ class TestSerialization:
     @given(dags())
     def test_round_trip_random(self, g):
         assert parse_digraph(format_edge_list(g)) == g
+
+    @settings(max_examples=250, deadline=None)
+    @given(sparse_dags(), st.data())
+    def test_any_text_reads_as_through_the_loop(self, g, data):
+        # A blank line in front keeps text off the canonical fast path, so
+        # both readings must agree on the result or on the error raised.
+        # H's rows may repeat an edge of G or reverse one, which G lacks.
+        rows = g.edges + tuple((v, u) for u, v in g.edges)
+        order = data.draw(st.lists(st.sampled_from(rows), max_size=6) if rows else st.just([]))
+        assert outcome(parse_subgraph, edge_list_text(g.n, order), g) == outcome(g.subgraph, order)
+        rng = data.draw(st.randoms(use_true_random=False))
+        g_text = mutate_edge_list(format_edge_list(g), rng, data.draw(st.integers(0, 3)))
+        h_text = mutate_edge_list(edge_list_text(g.n, order), rng, data.draw(st.integers(0, 3)))
+        limit = data.draw(st.sampled_from([graphs.MAX_VERTICES, g.n - 1]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "MAX_VERTICES", limit)
+            assert outcome(parse_digraph, g_text) == outcome(parse_digraph, "\n" + g_text)
+            assert outcome(parse_subgraph, h_text, g) == outcome(parse_subgraph, "\n" + h_text, g)
+
+    @pytest.mark.parametrize("rows,error,message", [
+        ([(2, 1), (1, 2)], EdgeNotInParentError, "edge (2, 1) is not an edge of the parent graph"),
+        ([(1, 2), (2, 3), (1, 2), (3, 1)], DuplicateEdgeError, "duplicate edge (1, 2)"),
+        ([(2, 3), (1, 3), (2, 3)], DuplicateEdgeError, "duplicate edge (2, 3)"),
+        ([(1, 2), (3, 2), (2, 3), (2, 3)], EdgeNotInParentError, "edge (3, 2) is not an edge of the parent graph"),
+    ])
+    def test_first_missing_or_repeated_edge_raises(self, k3, rows, error, message):
+        for build in (lambda: parse_subgraph(edge_list_text(3, rows), k3), lambda: k3.subgraph(rows)):
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_code_callers_may_pass_lists_and_strings(self, k3):
+        assert k3.subgraph([[1, 2], ("2", "3")]) == k3.subgraph([(1, 2), (2, 3)])
 
     def test_load_digraph_rejects_non_ascii(self, tmp_path):
         path = tmp_path / "g.txt"
