@@ -34,7 +34,6 @@ from .enumeration import (
 from .faces import (
     ConflictObstruction,
     CycleObstruction,
-    FaceDescriptor,
     HComp,
     InadmissibleCycleObstruction,
     LoopObstruction,
@@ -80,7 +79,6 @@ from .hull import (
     FaceLattice,
     NotASubsetOfVerticesError,
     TooLargeError,
-    VertexSet,
     affine_dimension,
     enumerate_faces_bruteforce,
     is_face_bruteforce,

@@ -107,11 +107,7 @@ def _cmd_cert(args) -> int:
 
 
 def _face_json(face) -> dict:
-    return {
-        "edges": [list(e) for e in face.descriptor.subgraph.edges],
-        "origin": face.descriptor.contains_origin,
-        "dim": face.dim,
-    }
+    return {"edges": [list(e) for e in face.subgraph.edges], "origin": face.contains_origin, "dim": face.dim}
 
 
 def _cmd_enumerate(args) -> int:

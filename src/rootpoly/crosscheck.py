@@ -1,10 +1,10 @@
 """Cross-verification of the combinatorial face criteria against the hull oracle.
 
 For a given ambient graph, every spanning subgraph is tested twice (with and
-without the origin) through both routes; any disagreement is reported with a
-minimal reproducer.  Positive decisions additionally have their emitted
-certificates verified.  Ambient graphs come either from the caller, from
-exhaustive enumeration of labeled DAGs, or from a seeded random generator.
+without the origin) through both routes; a disagreement records the whole
+graph, the subgraph and the origin flag, not minimised.  Positive decisions
+also have their certificates verified.  Ambient graphs come from the caller,
+from all labeled DAGs on n vertices, or from a seeded random generator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from multiprocessing import Pool
 from .certificates import certify, verify_certificate
 from .faces import build_hcomp
 from .graphs import Digraph, DirectedCycleError, Edge, Subgraph
-from .hull import FaceLattice, enumerate_faces_bruteforce
+from .hull import FaceLattice, descriptor_indices, enumerate_faces_bruteforce
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,8 @@ def check_graph(g: Digraph, lattice: FaceLattice | None = None) -> CheckReport:
     for mask in range(1 << m):
         h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
         hc = build_hcomp(g, h)
-        points = frozenset(i + 1 for i in h.mask)  # lattice point 0 is the origin, point i + 1 edge i
         for contains_origin in (True, False):
-            expected = (points | {0} if contains_origin else points) in lattice.faces
+            expected = descriptor_indices(h, contains_origin) in lattice.faces
             got = hc.is_tilde_face() if contains_origin else hc.is_q_face()
             report.checks += 1
             if got != expected:

@@ -1,18 +1,18 @@
 """Face enumeration and closed-form generators for special graph classes.
 
 General graphs are enumerated by NextClosure over the points of the
-polytope: ``face_closure`` finds the smallest face holding a set of points
-by duality on difference constraints, one strong-component pass (plus
-Bellman-Ford when the origin is left out) over the arcs that validating G
-built, so the cost grows with the number of faces, not with the 2^m
-spanning subgraphs.  Both face dimensions are read from the closure's
-component count.  Complete graphs, connected alternating graphs and
-transitively closed graphs additionally have direct generators (interval
-decompositions, independent-set splits, and vertex bipartitions) that are
-cross-checked against the oracle in the test suite; a K_n listing builds
-K_n once.  Face counts are plain ``{dimension: count}`` dicts in increasing
-dimension, and ``count_by_dimension`` counts the empty and improper faces
-only on request.  ``fvector`` counts what ``enumerate_faces`` lists, and
+polytope, each face listed once as ``EnumeratedFace(subgraph,
+contains_origin, dim)``.  ``face_closure`` finds the smallest face holding
+a point set by duality on difference constraints, one strong-component
+pass (plus Bellman-Ford without the origin) over G's arcs, so the cost
+grows with the number of faces, not with the 2^m spanning subgraphs; both
+face dimensions come from its component count.  Complete, connected
+alternating and transitively closed graphs also have direct generators
+(interval decompositions, independent-set splits, vertex bipartitions),
+cross-checked against the oracle in the tests; a K_n listing builds K_n
+once.  Face counts are ``{dimension: count}`` dicts in increasing
+dimension; ``count_by_dimension`` counts the empty and improper faces only
+on request.  ``fvector`` counts what ``enumerate_faces`` lists, and
 ``kn_face_counts``, the one f-vector formula for K_n, backs ``kn --fvector``.
 """
 
@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .faces import FaceDescriptor, build_hcomp, is_alternating
+from .faces import build_hcomp, is_alternating
 from .graphs import (
     Digraph,
     NotAlternatingError,
@@ -49,7 +49,14 @@ class NotTransitivelyClosedError(ValueError):
 
 @dataclass(frozen=True)
 class EnumeratedFace:
-    descriptor: FaceDescriptor
+    """A face of the polytope of G: a spanning subgraph, an origin flag and the face's dimension.
+
+    Every face has exactly one such encoding, with the subgraph spanned by
+    the non-origin vertices present in the face.
+    """
+
+    subgraph: Subgraph
+    contains_origin: bool
     dim: int
 
 
@@ -103,7 +110,7 @@ def face_closure(g: Digraph, points: int) -> tuple[int, int]:
 
 
 def enumerate_faces(g: Digraph, max_edges: int = 20, include_empty: bool = False) -> list[EnumeratedFace]:
-    """All faces of the polytope of G, one descriptor each, sorted canonically; the empty face only on request.
+    """All faces of the polytope of G, one record each, sorted canonically; the empty face only on request.
 
     Every face is the smallest face holding its own points, so NextClosure
     (Ganter 1984) over the m + 1 points, the origin first and then the
@@ -123,9 +130,9 @@ def enumerate_faces(g: Digraph, max_edges: int = 20, include_empty: bool = False
     while True:
         h = Subgraph(g, frozenset(i for i in range(m) if points >> (i + 1) & 1))
         if points & 1:
-            out.append(EnumeratedFace(FaceDescriptor(h, True), g.n - count))
+            out.append(EnumeratedFace(h, True, g.n - count))
         elif points or include_empty:
-            out.append(EnumeratedFace(FaceDescriptor(h, False), g.n - count - 1))
+            out.append(EnumeratedFace(h, False, g.n - count - 1))
         if points == everything:
             break
         # The next closed set in lectic order: add the last point i that is
@@ -140,14 +147,13 @@ def enumerate_faces(g: Digraph, max_edges: int = 20, include_empty: bool = False
             if not (closed ^ points) & (bit - 1):
                 points = closed
                 break
-    out.sort(key=lambda f: (f.dim, f.descriptor.contains_origin, f.descriptor.subgraph.indices))
+    out.sort(key=lambda f: (f.dim, f.contains_origin, f.subgraph.indices))
     return out
 
 
 def count_by_dimension(faces: list[EnumeratedFace], include_trivial: bool) -> dict[int, int]:
     """Counts of listed faces by dimension, in increasing dimension; the improper face only with include_trivial."""
-    counts = Counter(f.dim for f in faces
-                     if include_trivial or not (f.descriptor.contains_origin and f.descriptor.subgraph.is_full()))
+    counts = Counter(f.dim for f in faces if include_trivial or not (f.contains_origin and f.subgraph.is_full()))
     return dict(sorted(counts.items()))
 
 

@@ -132,18 +132,6 @@ class WeightFunction:
         return self.values[v - 1]
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
-    """A face of the polytope of G: a subgraph plus an origin flag.
-
-    Every face has exactly one such encoding, with the subgraph spanned by
-    the non-origin vertices present in the face.
-    """
-
-    subgraph: Subgraph
-    contains_origin: bool
-
-
 # --- obstruction witnesses ---------------------------------------------------
 
 

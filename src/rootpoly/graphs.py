@@ -56,6 +56,14 @@ Edge = tuple[int, int]
 MAX_VERTICES = 100_000  # the most vertices an edge-list header may declare
 
 
+def _clip(value: object, quote: bool = False) -> str:
+    """str(value) as an error message shows it, repr-quoted with quote: cut past 40 characters, with its length."""
+    text = str(value)
+    shown = text if len(text) <= 40 else text[:40] + "..."
+    shown = repr(shown) if quote else shown
+    return shown if len(text) <= 40 else f"{shown} ({len(text):,} characters)"
+
+
 def sink_first_labels(k: int, arcs: Iterable[Edge]) -> list[int]:
     """Kahn's algorithm from the sinks up on vertices 0..k-1, smallest ready vertex first.
 
@@ -142,11 +150,11 @@ class Digraph:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise VertexRangeError(f"vertex count must be positive, got {self.n}")
+            raise VertexRangeError(f"vertex count must be positive, got {_clip(self.n)}")
         edge_index: dict[Edge, int] = {}
         for i, (u, v) in enumerate(self.edges):
             if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise VertexRangeError(f"edge ({u}, {v}) leaves the vertex range 1..{self.n}")
+                raise VertexRangeError(f"edge ({_clip(u)}, {_clip(v)}) leaves the vertex range 1..{self.n}")
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if edge_index.setdefault((u, v), i) != i:
@@ -169,7 +177,7 @@ class Digraph:
             e = (int(e[0]), int(e[1]))
             idx = self.edge_index.get(e)
             if idx is None:
-                raise EdgeNotInParentError(f"edge {e} is not an edge of the parent graph")
+                raise EdgeNotInParentError(f"edge ({_clip(e[0])}, {_clip(e[1])}) is not an edge of the parent graph")
             if idx in mask:
                 raise DuplicateEdgeError(f"duplicate edge {e}")
             mask.add(idx)
@@ -401,23 +409,23 @@ def _parse_lines(text: str) -> tuple[int, tuple[Edge, ...]]:
         raise GraphError("empty edge-list input")
     header = rows[0]
     if len(header) != 2:
-        raise GraphError(f"expected header 'n m', got {' '.join(header)!r}")
+        raise GraphError(f"expected header 'n m', got {_clip(' '.join(header), quote=True)}")
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise GraphError(f"bad header {' '.join(header)!r}") from exc
+        raise GraphError(f"bad header {_clip(' '.join(header), quote=True)}") from exc
     if n > MAX_VERTICES:
-        raise GraphError(f"header declares {n} vertices, above the limit of {MAX_VERTICES}")
+        raise GraphError(f"header declares {_clip(n)} vertices, above the limit of {MAX_VERTICES}")
     if len(rows) - 1 != m:
-        raise GraphError(f"header declares {m} edges but {len(rows) - 1} follow")
+        raise GraphError(f"header declares {_clip(m)} edges but {len(rows) - 1} follow")
     edges = []
     for row in rows[1:]:
         if len(row) != 2:
-            raise GraphError(f"bad edge line {' '.join(row)!r}")
+            raise GraphError(f"bad edge line {_clip(' '.join(row), quote=True)}")
         try:
             edges.append((int(row[0]), int(row[1])))
         except ValueError as exc:
-            raise GraphError(f"bad edge line {' '.join(row)!r}") from exc
+            raise GraphError(f"bad edge line {_clip(' '.join(row), quote=True)}") from exc
     return n, tuple(edges)
 
 
@@ -428,7 +436,7 @@ def parse_digraph(text: str) -> Digraph:
 def parse_subgraph(text: str, parent: Digraph) -> Subgraph:
     n, edges = _parse_lines(text)
     if n != parent.n:
-        raise GraphError(f"subgraph has {n} vertices but the parent has {parent.n}")
+        raise GraphError(f"subgraph has {_clip(n)} vertices but the parent has {parent.n}")
     mask = frozenset(map(parent.edge_index.get, edges))
     if None in mask or len(mask) != len(edges):
         return parent.subgraph(edges)  # raises at the first missing or repeated edge

@@ -5,6 +5,10 @@ the polytope's vertices is a face exactly when some hyperplane touches the
 polytope precisely at S.  That existence question is an exact rational
 linear program, solved without any of the combinatorial theory, so the
 module serves as an independent oracle for cross-checks at desk scale.
+The vertices are one tuple of points, ``polytope_vertices(g)``: point 0 is
+the origin and point i + 1 edge i, as ``descriptor_indices`` numbers a face.
+``FaceLattice.f_vector`` counts the empty and improper faces only with
+include_trivial, as the enumeration does.
 
 The linear algebra is integer-only: ranks and nullspaces come from
 fraction-free row reduction with gcd normalisation.  Before the linear
@@ -20,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -44,30 +47,19 @@ class TooLargeError(ValueError):
 Point = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """The vertices of the polytope of G: the origin, then e_i - e_j per edge, in edge order."""
-
-    n: int
-    points: tuple[Point, ...]
-
-    @cached_property
-    def index_of(self) -> dict[Point, int]:
-        return {p: i for i, p in enumerate(self.points)}
-
-
-def polytope_vertices(g: Digraph) -> VertexSet:
+def polytope_vertices(g: Digraph) -> tuple[Point, ...]:
+    """The vertices of the polytope of G: point 0 is the origin, point i + 1 is e_u - e_v for edge i = (u, v)."""
     pts = [tuple([0] * g.n)]
     for u, v in g.edges:
         p = [0] * g.n
         p[u - 1] = 1
         p[v - 1] = -1
         pts.append(tuple(p))
-    return VertexSet(g.n, tuple(pts))
+    return tuple(pts)
 
 
 def descriptor_indices(h: Subgraph, contains_origin: bool) -> frozenset[int]:
-    """Vertex indices (into the parent's VertexSet) of the face encoded by (H, origin flag)."""
+    """Indices into ``polytope_vertices`` of the face encoded by (H, origin flag)."""
     idx = {i + 1 for i in h.mask}
     if contains_origin:
         idx.add(0)
@@ -152,7 +144,7 @@ def affine_dimension(points: Iterable[Point]) -> int:
 # --- the supporting-hyperplane linear program --------------------------------
 
 
-def _face_lp(vs: VertexSet, included: frozenset[int], want_witness: bool):
+def _face_lp(points: tuple[Point, ...], included: frozenset[int], want_witness: bool):
     """Decide whether the vertex subset is a face: (False, None), or True and its witness or dimension.
 
     Maximises the separation margin delta subject to c.v = c.v0 on the
@@ -169,16 +161,16 @@ def _face_lp(vs: VertexSet, included: frozenset[int], want_witness: bool):
     subset's affine hull, and its row of the program reads delta <= 0: the
     optimum is 0 and the answer is "not a face", which is returned at once.
     """
-    k = len(vs.points)
-    n = vs.n
+    k = len(points)
+    n = len(points[0])
     if not included:
         return True, (tuple(Fraction(0) for _ in range(n)), Fraction(-1))
     if len(included) == k:
         return True, (tuple(Fraction(0) for _ in range(n)), Fraction(0))
 
     inc = sorted(included)
-    v0 = vs.points[inc[0]]
-    eq_rows = [[x - y for x, y in zip(vs.points[i], v0)] for i in inc[1:]]
+    v0 = points[inc[0]]
+    eq_rows = [[x - y for x, y in zip(points[i], v0)] for i in inc[1:]]
     basis = _nullspace_basis(eq_rows, n)
     d = len(basis)
     if d == 0:
@@ -192,7 +184,7 @@ def _face_lp(vs: VertexSet, included: frozenset[int], want_witness: bool):
     for j in range(k):
         if j in included:
             continue
-        wv = [x - y for x, y in zip(vs.points[j], v0)]
+        wv = [x - y for x, y in zip(points[j], v0)]
         a = [sum(map(mul, wv, b)) for b in basis]
         if not any(a):
             # v_j is in the affine hull of the subset.
@@ -224,15 +216,17 @@ def _face_lp(vs: VertexSet, included: frozenset[int], want_witness: bool):
     return True, (c, c0)
 
 
-def _as_indices(vs: VertexSet, subset: Iterable[Point | int]) -> frozenset[int]:
+def _as_indices(points: tuple[Point, ...], subset: Iterable[Point | int]) -> frozenset[int]:
     out = set()
+    index_of: dict[Point, int] = {}  # built at the first point, not for indices
     for item in subset:
         if isinstance(item, int):
-            if not (0 <= item < len(vs.points)):
+            if not (0 <= item < len(points)):
                 raise NotASubsetOfVerticesError(f"vertex index {item} out of range")
             out.add(item)
         else:
-            idx = vs.index_of.get(tuple(item))
+            index_of = index_of or {p: i for i, p in enumerate(points)}
+            idx = index_of.get(tuple(item))
             if idx is None:
                 raise NotASubsetOfVerticesError(f"{item} is not a vertex of the polytope")
             out.add(idx)
@@ -241,9 +235,8 @@ def _as_indices(vs: VertexSet, subset: Iterable[Point | int]) -> frozenset[int]:
 
 def is_face_bruteforce(g: Digraph, subset: Iterable[Point | int]) -> bool:
     """True iff the given vertices (points or indices) are exactly the vertex set of a face."""
-    vs = polytope_vertices(g)
-    included = _as_indices(vs, subset)
-    ok, _ = _face_lp(vs, included, want_witness=False)
+    points = polytope_vertices(g)
+    ok, _ = _face_lp(points, _as_indices(points, subset), want_witness=False)
     return ok
 
 
@@ -251,9 +244,8 @@ def supporting_hyperplane(
     g: Digraph, subset: Iterable[Point | int]
 ) -> tuple[tuple[Fraction, ...], Fraction] | None:
     """An exact (c, c0) touching the polytope precisely at the subset, or None."""
-    vs = polytope_vertices(g)
-    included = _as_indices(vs, subset)
-    ok, witness = _face_lp(vs, included, want_witness=True)
+    points = polytope_vertices(g)
+    ok, witness = _face_lp(points, _as_indices(points, subset), want_witness=True)
     return witness if ok else None
 
 
@@ -265,15 +257,15 @@ class FaceLattice:
     """Every face of the polytope as a vertex-index set with its dimension.
 
     Includes the empty face (dimension -1) and the improper face (the whole
-    polytope); the f-vector flags control whether those two are reported.
+    polytope); the f-vector counts those two only with include_trivial.
     """
 
-    vertex_set: VertexSet
+    points: tuple[Point, ...]
     faces: dict[frozenset[int], int]
 
     @property
     def dim(self) -> int:
-        return self.faces[frozenset(range(len(self.vertex_set.points)))]
+        return self.faces[frozenset(range(len(self.points)))]
 
     def facets(self) -> list[frozenset[int]]:
         d = self.dim
@@ -281,15 +273,11 @@ class FaceLattice:
             (s for s, fd in self.faces.items() if fd == d - 1), key=sorted
         )
 
-    def f_vector(self, include_empty: bool = False, include_improper: bool = False) -> dict[int, int]:
+    def f_vector(self, include_trivial: bool = False) -> dict[int, int]:
         counts: dict[int, int] = {}
-        full = frozenset(range(len(self.vertex_set.points)))
         for s, fd in self.faces.items():
-            if not s and not include_empty:
-                continue
-            if s == full and not include_improper:
-                continue
-            counts[fd] = counts.get(fd, 0) + 1
+            if include_trivial or 0 < len(s) < len(self.points):
+                counts[fd] = counts.get(fd, 0) + 1
         return dict(sorted(counts.items()))
 
 
@@ -303,15 +291,15 @@ def enumerate_faces_bruteforce(g: Digraph, cap: int = BRUTE_FORCE_CAP) -> FaceLa
     Each face's dimension comes from the nullspace its test builds; only the
     whole polytope's is computed apart, once.
     """
-    vs = polytope_vertices(g)
-    k = len(vs.points)
+    points = polytope_vertices(g)
+    k = len(points)
     if k > cap:
         raise TooLargeError(f"{k} vertices exceeds the cap of {cap}")
     faces: dict[frozenset[int], int] = {frozenset(): -1}
     for mask in range(1, (1 << k) - 1):
         included = frozenset(i for i in range(k) if mask >> i & 1)
-        ok, dim = _face_lp(vs, included, want_witness=False)
+        ok, dim = _face_lp(points, included, want_witness=False)
         if ok:
             faces[included] = dim
-    faces[frozenset(range(k))] = affine_dimension(vs.points)
-    return FaceLattice(vs, faces)
+    faces[frozenset(range(k))] = affine_dimension(points)
+    return FaceLattice(points, faces)

@@ -50,7 +50,7 @@ def recording_pool(monkeypatch):
 
 
 def _canonical(face):
-    return face.dim, face.descriptor.contains_origin, face.descriptor.subgraph.indices
+    return face.dim, face.contains_origin, face.subgraph.indices
 
 
 def faces_in_mask_range(g, include_empty=False, start=0, stop=None):
@@ -61,7 +61,7 @@ def faces_in_mask_range(g, include_empty=False, start=0, stop=None):
     found, sorted canonically as ``enumerate_faces`` sorts them.
     """
     from rootpoly.enumeration import EnumeratedFace
-    from rootpoly.faces import FaceDescriptor, build_hcomp
+    from rootpoly.faces import build_hcomp
     from rootpoly.graphs import Subgraph
 
     m = len(g.edges)
@@ -71,9 +71,9 @@ def faces_in_mask_range(g, include_empty=False, start=0, stop=None):
         hc = build_hcomp(g, h)
         dim = g.n - hc.vertex_count
         if hc.is_tilde_face():
-            out.append(EnumeratedFace(FaceDescriptor(h, True), dim))
+            out.append(EnumeratedFace(h, True, dim))
         if (mask or include_empty) and hc.is_q_face():
-            out.append(EnumeratedFace(FaceDescriptor(h, False), dim - 1))
+            out.append(EnumeratedFace(h, False, dim - 1))
     out.sort(key=_canonical)
     return out
 

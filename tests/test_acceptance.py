@@ -41,7 +41,7 @@ SAMPLE_SEED_N6 = 20260502
 
 
 def edge_points(g, h):
-    pts = polytope_vertices(g).points
+    pts = polytope_vertices(g)
     return [pts[i + 1] for i in sorted(h.mask)]
 
 
@@ -190,7 +190,7 @@ def test_criterion_9_faces_are_facet_intersections(small_universe):
     for g in small_universe:
         lat = enumerate_faces_bruteforce(g)
         dim_p = lat.dim
-        full = frozenset(range(len(lat.vertex_set.points)))
+        full = frozenset(range(len(lat.points)))
         facets = lat.facets()
         for face, dim_f in lat.faces.items():
             if not face:

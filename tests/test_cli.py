@@ -363,6 +363,7 @@ def test_mutated_files_end_in_an_exit_code(command, tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert time.perf_counter() - start < 2, argv
         assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+        assert len(err) < 200, (argv, err)
         codes[code] += 1
     assert set(codes) == {0, 1, 2}  # faces, non-faces and input errors are all reached
 
@@ -397,3 +398,28 @@ def test_readme_cli_block_names_every_option():
     accepted = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
                 for name, p in commands.items()}
     assert documented == accepted
+
+
+def test_readme_library_blocks_give_the_values_they_state():
+    # The ```python blocks under "## Library" run in one namespace; each bare
+    # expression's value is what its comment says.
+    import ast
+    import re
+    from fractions import Fraction
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    values = []
+    for block in blocks:
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr):
+                values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    cert = namespace["cert"]
+    assert cert.c == (Fraction(-1, 3), 0, Fraction(2, 3)) and cert.c0 == -1
+    assert values == [False, True, True, None, cert]

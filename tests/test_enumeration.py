@@ -58,7 +58,7 @@ def oracle_subgraph_sets(g):
 class TestEnumerateFaces:
     def test_rhombus_counts(self, k3):
         faces = enumerate_faces(k3)
-        proper = [f for f in faces if not (f.descriptor.contains_origin and f.descriptor.subgraph.is_full())]
+        proper = [f for f in faces if not (f.contains_origin and f.subgraph.is_full())]
         assert len(proper) == 8
         assert sum(1 for f in proper if f.dim == 0) == 4
         assert sum(1 for f in proper if f.dim == 1) == 4
@@ -70,11 +70,11 @@ class TestEnumerateFaces:
         faces = enumerate_faces(validate(3, []))
         assert len(faces) == 1
         f = faces[0]
-        assert f.descriptor.contains_origin and f.descriptor.subgraph.edges == () and f.dim == 0
+        assert f.contains_origin and f.subgraph.edges == () and f.dim == 0
 
     def test_descriptors_unique(self, k4):
         faces = enumerate_faces(k4)
-        keys = {(f.descriptor.subgraph.mask, f.descriptor.contains_origin) for f in faces}
+        keys = {(f.subgraph.mask, f.contains_origin) for f in faces}
         assert len(keys) == len(faces)
 
     def test_cap(self, k3):
@@ -85,7 +85,7 @@ class TestEnumerateFaces:
         g = complete_graph(5)
         chunks = [sweep(g, start=lo, stop=min(lo + 100, 1 << 10)) for lo in range(0, 1 << 10, 100)]
         merged = [f for part in chunks for f in part]
-        merged.sort(key=lambda f: (f.dim, f.descriptor.contains_origin, f.descriptor.subgraph.indices))
+        merged.sort(key=lambda f: (f.dim, f.contains_origin, f.subgraph.indices))
         assert merged == sweep(g) == enumerate_faces(g)
 
     def test_kn_listing_validates_kn_at_most_once(self, monkeypatch):
@@ -101,7 +101,7 @@ class TestEnumerateFaces:
         for g in (k3, square_graph):
             lat = enumerate_faces_bruteforce(g)
             got = {
-                descriptor_indices(f.descriptor.subgraph, f.descriptor.contains_origin): f.dim
+                descriptor_indices(f.subgraph, f.contains_origin): f.dim
                 for f in enumerate_faces(g, include_empty=True)
             }
             assert got == lat.faces
@@ -115,7 +115,7 @@ class TestEnumerateFaces:
 
     def test_face_vertex_sets_closed_under_intersection(self, k4):
         sets = {
-            descriptor_indices(f.descriptor.subgraph, f.descriptor.contains_origin)
+            descriptor_indices(f.subgraph, f.contains_origin)
             for f in enumerate_faces(k4, include_empty=True)
         }
         for a in sets:
@@ -125,7 +125,7 @@ class TestEnumerateFaces:
 
 def _with_and_without_empty(full):
     """The listings with and without the empty face, from one listing that has it."""
-    return {True: full, False: [f for f in full if f.descriptor.contains_origin or f.descriptor.subgraph.mask]}
+    return {True: full, False: [f for f in full if f.contains_origin or f.subgraph.mask]}
 
 
 class TestClosureMatchesTheSweep:
@@ -149,7 +149,7 @@ class TestClosureMatchesTheSweep:
             for empty in (False, True):
                 got = enumerate_faces(g, include_empty=empty)
                 assert got == want[empty]
-                keys = [(f.descriptor.subgraph.mask, f.descriptor.contains_origin) for f in got]
+                keys = [(f.subgraph.mask, f.contains_origin) for f in got]
                 assert len(set(keys)) == len(keys)
 
     def test_small_universe(self, small_universe, sweep):
@@ -166,7 +166,7 @@ class TestClosureMatchesTheSweep:
         kn = complete_graph(n)
         faces = enumerate_faces(kn, max_edges=len(kn.edges))
         for origin in (True, False):
-            counts = Counter(f.dim for f in faces if f.descriptor.contains_origin == origin)
+            counts = Counter(f.dim for f in faces if f.contains_origin == origin)
             assert counts == kn_face_counts(n, origin)
 
 
@@ -387,7 +387,7 @@ class TestFVector:
         lat = enumerate_faces_bruteforce(square_graph)
         for trivial in (False, True):
             fv = fvector(square_graph, include_trivial=trivial)
-            assert fv == lat.f_vector(include_empty=trivial, include_improper=trivial)
+            assert fv == lat.f_vector(trivial)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kn_counts_match_the_generated_data(self, n):

@@ -10,6 +10,7 @@ from rootpoly.faces import (
     InadmissibleCycleObstruction,
     LoopObstruction,
     WeightFunction,
+    admissibility_obstruction,
     build_hcomp,
     is_admissible,
     is_q_face,
@@ -283,6 +284,21 @@ class TestAdmissibility:
                         tuple(w[v] + shifts[comps.component(v)] for v in range(1, g.n + 1))
                     )
                     assert is_admissible(g, h, shifted) == base
+
+    def test_obstruction_is_the_analysis_obstruction(self, k4, square_graph):
+        # On a path-consistent H the analysis has no conflict to report, so
+        # its q_obstruction is the inadmissible cycle or None.
+        seen = set()
+        for g in (k4, square_graph):
+            for h in all_subgraphs(g):
+                w = path_consistency(h)
+                if w is None:
+                    continue
+                obs = admissibility_obstruction(g, h, w)
+                assert obs == build_hcomp(g, h).q_obstruction()
+                assert (obs is None) == is_admissible(g, h, w)
+                seen.add(obs is None)
+        assert seen == {True, False}
 
 
 def check_inadmissible_witness(g, h, obs):

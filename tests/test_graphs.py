@@ -200,6 +200,21 @@ class TestSerialization:
                 build()
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("parse,text,error,length", [
+        (parse_digraph, "3 1\n1 " + "9" * 5000 + "\n", GraphError, "5,002"),
+        (parse_digraph, "3 1\n1 " + "9" * 4000 + "\n", VertexRangeError, "4,000"),
+        (parse_digraph, "9" * 4000 + " 0\n", GraphError, "4,000"),
+        (parse_digraph, "3 1\n" + "1 2 " * 100_000 + "\n", GraphError, "399,999"),
+        (parse_digraph, "3 " + "9" * 4000 + "\n1 2\n", GraphError, "4,000"),
+        (parse_subgraph, "3 1\n1 " + "9" * 4000 + "\n", EdgeNotInParentError, "4,000"),
+    ], ids=["edge-token", "vertex", "header-n", "row", "header-m", "subgraph-vertex"])
+    def test_messages_clip_long_input(self, k3, parse, text, error, length):
+        args = (k3,) if parse is parse_subgraph else ()
+        with pytest.raises(error) as info:
+            parse(text, *args)
+        message = str(info.value)
+        assert len(message) < 200 and message.count("...") == 1 and f"({length} characters)" in message, message
+
     def test_code_callers_may_pass_lists_and_strings(self, k3):
         assert k3.subgraph([[1, 2], ("2", "3")]) == k3.subgraph([(1, 2), (2, 3)])
 

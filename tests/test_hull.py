@@ -77,14 +77,11 @@ def integer_matrices(draw):
 
 class TestVertexSet:
     def test_triangle_points(self, k3):
-        vs = polytope_vertices(k3)
-        assert vs.points[0] == (0, 0, 0)
-        assert vs.points[1] == (1, -1, 0)
-        assert vs.points[3] == (0, 1, -1)
+        assert polytope_vertices(k3) == ((0, 0, 0), (1, -1, 0), (1, 0, -1), (0, 1, -1))
 
     def test_points_distinct(self, square_graph):
-        vs = polytope_vertices(square_graph)
-        assert len(set(vs.points)) == len(vs.points)
+        points = polytope_vertices(square_graph)
+        assert len(set(points)) == len(points) == 5
 
 
 class TestIsFace:
@@ -95,8 +92,7 @@ class TestIsFace:
         assert is_face_bruteforce(k3, [(0, 0, 0), (1, -1, 0)])
 
     def test_improper_face(self, k3):
-        vs = polytope_vertices(k3)
-        assert is_face_bruteforce(k3, vs.points)
+        assert is_face_bruteforce(k3, polytope_vertices(k3))
 
     def test_empty_set_is_a_face(self, k3):
         assert is_face_bruteforce(k3, [])
@@ -113,13 +109,13 @@ class TestIsFace:
 
 class TestAffineDimension:
     def test_rhombus_is_two_dimensional(self, k3):
-        assert affine_dimension(polytope_vertices(k3).points) == 2
+        assert affine_dimension(polytope_vertices(k3)) == 2
 
     def test_single_point(self):
         assert affine_dimension([(0, 0, 0)]) == 0
 
     def test_square_pyramid_is_three_dimensional(self, square_graph):
-        assert affine_dimension(polytope_vertices(square_graph).points) == 3
+        assert affine_dimension(polytope_vertices(square_graph)) == 3
 
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
@@ -130,8 +126,7 @@ class TestEnumeration:
     def test_rhombus_f_vector(self, k3):
         lat = enumerate_faces_bruteforce(k3)
         assert lat.f_vector() == {0: 4, 1: 4}
-        assert lat.f_vector(include_improper=True) == {0: 4, 1: 4, 2: 1}
-        assert lat.f_vector(include_empty=True, include_improper=True) == {-1: 1, 0: 4, 1: 4, 2: 1}
+        assert lat.f_vector(True) == {-1: 1, 0: 4, 1: 4, 2: 1}
 
     def test_square_pyramid_f_vector(self, square_graph):
         assert enumerate_faces_bruteforce(square_graph).f_vector() == {0: 5, 1: 8, 2: 5}
@@ -139,7 +134,7 @@ class TestEnumeration:
     def test_segment(self):
         g = validate(2, [(1, 2)])
         assert enumerate_faces_bruteforce(g).f_vector() == {0: 2}
-        assert enumerate_faces_bruteforce(g).f_vector(include_improper=True) == {0: 2, 1: 1}
+        assert enumerate_faces_bruteforce(g).f_vector(True) == {-1: 1, 0: 2, 1: 1}
 
     def test_cap(self, k3):
         with pytest.raises(TooLargeError):
@@ -153,15 +148,14 @@ class TestEnumeration:
 
     def test_every_face_has_an_exact_witness(self, square_graph):
         lat = enumerate_faces_bruteforce(square_graph)
-        vs = lat.vertex_set
         for face in lat.faces:
             c, c0 = supporting_hyperplane(square_graph, face)
             on_plane = {
-                i for i, p in enumerate(vs.points)
+                i for i, p in enumerate(lat.points)
                 if sum(ci * x for ci, x in zip(c, p)) == c0
             }
             assert on_plane == set(face)
-            for p in vs.points:
+            for p in lat.points:
                 assert sum(ci * x for ci, x in zip(c, p)) >= c0
 
     def test_witness_respects_normalization_box(self, k3):
@@ -186,7 +180,7 @@ class TestEnumeration:
 
         graphs = [k3, k4, square_graph, validate(2, [(1, 2)])] + random_dags(13, 4, 5, max_edges=6)
         for g in graphs:
-            fv = enumerate_faces_bruteforce(g).f_vector(include_empty=True, include_improper=True)
+            fv = enumerate_faces_bruteforce(g).f_vector(True)
             assert sum((-1) ** d * c for d, c in fv.items()) == 0
 
 
@@ -215,21 +209,22 @@ class TestIntegerKernel:
         assert _rank([[0, 0], [0, 0]]) == 0
 
 
-def full_separation_program(vs, included):
+def full_separation_program(points, included):
     """The separation program of _face_lp with every excluded row kept."""
     inc = sorted(included)
-    v0 = vs.points[inc[0]]
-    basis = _nullspace_basis([[x - y for x, y in zip(vs.points[i], v0)] for i in inc[1:]], vs.n)
+    n = len(points[0])
+    v0 = points[inc[0]]
+    basis = _nullspace_basis([[x - y for x, y in zip(points[i], v0)] for i in inc[1:]], n)
     d = len(basis)
     lhs, rhs, in_hull = [], [], False
-    for j in range(len(vs.points)):
+    for j in range(len(points)):
         if j in included:
             continue
-        a = [sum((x - y) * b for x, y, b in zip(vs.points[j], v0, vec)) for vec in basis]
+        a = [sum((x - y) * b for x, y, b in zip(points[j], v0, vec)) for vec in basis]
         in_hull = in_hull or not any(a)
         lhs.append([-x for x in a] + a + [1])
         rhs.append(0)
-    for i in range(vs.n):
+    for i in range(n):
         row = [vec[i] for vec in basis]
         if any(row):
             lhs += [row + [-x for x in row] + [0], [-x for x in row] + row + [0]]
@@ -244,26 +239,25 @@ class TestAffineHullPreTest:
 
         monkeypatch.setattr("rootpoly.hull.simplex_maximize", no_program)
         # The affine hull of {0, e1-e2, e2-e3} holds e1-e3, their sum.
-        vs = polytope_vertices(k3)
-        assert _face_lp(vs, frozenset({0, 1, 3}), want_witness=True) == (False, None)
+        assert _face_lp(polytope_vertices(k3), frozenset({0, 1, 3}), want_witness=True) == (False, None)
 
     def test_never_disagrees_with_the_program(self, k4, square_graph):
         rejected = 0
         for g in (square_graph, k4):
-            vs = polytope_vertices(g)
-            k = len(vs.points)
+            points = polytope_vertices(g)
+            k = len(points)
             for mask in range(1, (1 << k) - 1):
                 included = frozenset(i for i in range(k) if mask >> i & 1)
-                objective, lhs, rhs, d, in_hull = full_separation_program(vs, included)
+                objective, lhs, rhs, d, in_hull = full_separation_program(points, included)
                 if d == 0:
                     continue
                 res = simplex_maximize(objective, lhs, rhs)
                 assert res.status == OPTIMAL
-                assert _face_lp(vs, included, want_witness=False)[0] == (res.value > 0)
+                assert _face_lp(points, included, want_witness=False)[0] == (res.value > 0)
                 if in_hull:
                     rejected += 1
                     assert res.value == 0
-                    assert _face_lp(vs, included, want_witness=True) == (False, None)
+                    assert _face_lp(points, included, want_witness=True) == (False, None)
         assert rejected > 50  # 89 of the 154 proper nonempty subsets
 
 
