@@ -59,8 +59,9 @@ def check_graph(g: Digraph, lattice: FaceLattice | None = None) -> CheckReport:
     for mask in range(1 << m):
         h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
         hc = build_hcomp(g, h)
+        free = descriptor_indices(h, False)
         for contains_origin in (True, False):
-            expected = descriptor_indices(h, contains_origin) in lattice.faces
+            expected = (free | {0} if contains_origin else free) in lattice.faces
             got = hc.is_tilde_face() if contains_origin else hc.is_q_face()
             report.checks += 1
             if got != expected:

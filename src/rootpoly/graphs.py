@@ -58,7 +58,10 @@ MAX_VERTICES = 100_000  # the most vertices an edge-list header may declare
 
 def _clip(value: object, quote: bool = False) -> str:
     """str(value) as an error message shows it, repr-quoted with quote: cut past 40 characters, with its length."""
-    text = str(value)
+    try:
+        text = str(value)
+    except ValueError:  # an int, or a tuple holding one, past the interpreter's digit limit for str()
+        return f"an integer of {value.bit_length():,} bits" if isinstance(value, int) else "a value too long to print"
     shown = text if len(text) <= 40 else text[:40] + "..."
     shown = repr(shown) if quote else shown
     return shown if len(text) <= 40 else f"{shown} ({len(text):,} characters)"

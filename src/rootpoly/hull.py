@@ -1,22 +1,16 @@
 """Brute-force geometric ground truth for face questions.
 
-Everything here works directly from the definition of a face: a subset S of
-the polytope's vertices is a face exactly when some hyperplane touches the
-polytope precisely at S.  That existence question is an exact rational
-linear program, solved without any of the combinatorial theory, so the
-module serves as an independent oracle for cross-checks at desk scale.
-The vertices are one tuple of points, ``polytope_vertices(g)``: point 0 is
-the origin and point i + 1 edge i, as ``descriptor_indices`` numbers a face.
-``FaceLattice.f_vector`` counts the empty and improper faces only with
-include_trivial, as the enumeration does.
+Everything here works from the definition of a face, without the paper's
+combinatorial theory, so the module is an independent oracle for
+cross-checks at desk scale.  The vertices are one tuple of points,
+``polytope_vertices(g)``: point 0 is the origin and point i + 1 edge i, as
+``descriptor_indices`` numbers a face.  ``FaceLattice.f_vector`` counts the
+empty and improper faces only with include_trivial, as the enumeration does.
 
-The linear algebra is integer-only: ranks and nullspaces come from
-fraction-free row reduction with gcd normalisation.  Before the linear
-program is built, a pre-test rejects S when a vertex outside S lies in the
-affine hull of S, which the nullspace of S's differences already shows.
-That answer is exact: a face is the intersection of the polytope with its
-supporting hyperplane, so it holds every vertex of the polytope in its own
-affine hull.
+The face lattice is every intersection of facets, found by linear algebra
+alone.  A single vertex subset is decided by an exact rational linear
+program, whose optimum gives a supporting hyperplane as a witness.  Ranks
+and nullspaces come from fraction-free integer row reduction.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .graphs import Digraph, Subgraph
+from .graphs import Digraph, Subgraph, _clip
 from .linprog import STOPPED, UNBOUNDED, simplex_maximize
 
 
@@ -151,9 +145,8 @@ def _face_lp(points: tuple[Point, ...], included: frozenset[int], want_witness: 
     subset, c.v >= c.v0 + delta off it, and -1 <= c_i <= 1; the subset is a
     face exactly when the optimum is positive.  A face comes with the
     witness (c, c0) when one is wanted, and otherwise with its dimension,
-    n minus the size of the nullspace of the subset's differences.
-    Conventions: the empty set and the full vertex set are faces, always
-    returned with a witness.
+    n minus the size of the nullspace of the subset's differences.  The
+    empty and the full vertex set are faces, always with a witness.
 
     The program is skipped when, for an excluded vertex v_j, v_j - v0 is
     orthogonal to every nullspace vector of the subset's differences.  Then
@@ -222,13 +215,13 @@ def _as_indices(points: tuple[Point, ...], subset: Iterable[Point | int]) -> fro
     for item in subset:
         if isinstance(item, int):
             if not (0 <= item < len(points)):
-                raise NotASubsetOfVerticesError(f"vertex index {item} out of range")
+                raise NotASubsetOfVerticesError(f"vertex index {_clip(item)} out of range")
             out.add(item)
         else:
             index_of = index_of or {p: i for i, p in enumerate(points)}
             idx = index_of.get(tuple(item))
             if idx is None:
-                raise NotASubsetOfVerticesError(f"{item} is not a vertex of the polytope")
+                raise NotASubsetOfVerticesError(f"{_clip(item)} is not a vertex of the polytope")
             out.add(idx)
     return frozenset(out)
 
@@ -281,25 +274,54 @@ class FaceLattice:
         return dict(sorted(counts.items()))
 
 
-# The most polytope points (the origin and one per edge) whose 2^k subsets the brute force tests.
+def _facets(rows: Sequence[Sequence[int]], first: int, found: set[int]) -> None:
+    """Add to found, as bitmasks, the facets through the chosen points and len(rows) - 1 more from first on.
+
+    A row is a linear functional by its values at the lifted points, and
+    choosing a point eliminates it from every row, so the rows left vanish on
+    the chosen points.  The last row is the hyperplane of d affinely
+    independent points, a facet when its values take only one sign.
+    """
+    if len(rows) == 1:
+        if min(rows[0]) >= 0 or max(rows[0]) <= 0:
+            found.add(sum(1 << i for i, x in enumerate(rows[0]) if x == 0))
+        return
+    for p in range(first, len(rows[0]) - len(rows) + 2):
+        pivot = next((r for r in rows if r[p]), None)
+        if pivot is not None:  # else p is in the chosen points' affine hull
+            rest = []
+            for r in rows:
+                if r is not pivot:
+                    r = [pivot[p] * x - r[p] * y for x, y in zip(r, pivot)]
+                    g = gcd(*r)
+                    rest.append([x // g for x in r])
+            _facets(rest, p + 1, found)
+
+
+# The most polytope points (the origin and one per edge) the brute-force face lattice takes.
 BRUTE_FORCE_CAP = 16
 
 
 def enumerate_faces_bruteforce(g: Digraph, cap: int = BRUTE_FORCE_CAP) -> FaceLattice:
-    """Test every vertex subset with the separation program; desk scale only.
+    """Every face as an intersection of facets, by linear algebra alone; desk scale only.
 
-    Each face's dimension comes from the nullspace its test builds; only the
-    whole polytope's is computed apart, once.
+    Projected onto the pivot columns of their differences from point 0, a
+    map injective on their affine hull, the points span R^d.  Lifted to
+    (q, -1), each affinely independent d-subset fixes one hyperplane.  A
+    vertex set is a face exactly when it is the intersection of the facets
+    that contain it (Kaibel & Pfetsch 2002).  A face's dimension is the rank
+    of its lifted points minus one.
     """
     points = polytope_vertices(g)
     k = len(points)
     if k > cap:
         raise TooLargeError(f"{k} vertices exceeds the cap of {cap}")
-    faces: dict[frozenset[int], int] = {frozenset(): -1}
-    for mask in range(1, (1 << k) - 1):
-        included = frozenset(i for i in range(k) if mask >> i & 1)
-        ok, dim = _face_lp(points, included, want_witness=False)
-        if ok:
-            faces[included] = dim
-    faces[frozenset(range(k))] = affine_dimension(points)
-    return FaceLattice(points, faces)
+    pivots, _ = _row_reduce([x - y for x, y in zip(p, points[0])] for p in points[1:])
+    lifted = [[p[c] for c in pivots] + [-1] for p in points]
+    facets: set[int] = set()
+    _facets(list(zip(*lifted)), 0, facets)
+    closed = {(1 << k) - 1}
+    for f in facets:
+        closed |= {f & x for x in closed}
+    faces = [frozenset(i for i in range(k) if mask >> i & 1) for mask in sorted(closed)]
+    return FaceLattice(points, {face: _rank([lifted[i] for i in face]) - 1 for face in faces})

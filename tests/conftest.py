@@ -1,6 +1,7 @@
 import pytest
 
 from rootpoly import complete_graph, validate
+from rootpoly.hull import FaceLattice, _face_lp, affine_dimension, polytope_vertices
 
 
 @pytest.fixture
@@ -47,6 +48,30 @@ def recording_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     return RecordingPool
+
+
+def lp_lattice(g):
+    """The face lattice by one exact separation LP per vertex subset: the reference for the facet route.
+
+    Each face's dimension comes from the nullspace its test builds; only the
+    whole polytope's is computed apart, once.
+    """
+    points = polytope_vertices(g)
+    k = len(points)
+    faces = {frozenset(): -1}
+    for mask in range(1, (1 << k) - 1):
+        included = frozenset(i for i in range(k) if mask >> i & 1)
+        ok, dim = _face_lp(points, included, want_witness=False)
+        if ok:
+            faces[included] = dim
+    faces[frozenset(range(k))] = affine_dimension(points)
+    return FaceLattice(points, faces)
+
+
+@pytest.fixture
+def lp_reference():
+    """The per-subset LP lattice, kept as the reference for ``enumerate_faces_bruteforce``."""
+    return lp_lattice
 
 
 def _canonical(face):

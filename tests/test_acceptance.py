@@ -90,6 +90,20 @@ def test_criterion_2_oracle_equivalence_sampled(sampled_report):
     )
 
 
+# Not acceptance criteria: criteria 1, 2 and 9 read the facet lattice, so
+# it must equal the per-subset LP lattice, dimensions included.
+def test_facet_lattice_matches_the_lp_reference_exhaustive(small_universe, lp_reference):
+    for g in small_universe:
+        assert enumerate_faces_bruteforce(g).faces == lp_reference(g).faces, g
+
+
+def test_facet_lattice_matches_the_lp_reference_sampled(lp_reference):
+    graphs = cc.random_dags(SAMPLE_SEED_N5, 5, 30, max_edges=10)
+    graphs += cc.random_dags(SAMPLE_SEED_N6, 6, 30, max_edges=10)
+    for g in graphs:
+        assert enumerate_faces_bruteforce(g).faces == lp_reference(g).faces, g
+
+
 def test_criterion_3_triangle_instance():
     k3 = complete_graph(3)
     assert not is_q_face(k3, k3.full_subgraph())

@@ -1,11 +1,14 @@
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rootpoly.graphs import validate
+from rootpoly.crosscheck import random_dag
+from rootpoly.enumeration import enumerate_faces
+from rootpoly.graphs import VertexRangeError, complete_graph, validate
 from rootpoly.hull import (
     EmptySetError,
     NotASubsetOfVerticesError,
@@ -107,6 +110,17 @@ class TestIsFace:
             is_face_bruteforce(k3, [9])
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: validate(3, [(1, 10**5000)]), VertexRangeError),
+    (lambda: is_face_bruteforce(complete_graph(3), [10**4000]), NotASubsetOfVerticesError),
+    (lambda: is_face_bruteforce(complete_graph(3), [tuple(range(3000))]), NotASubsetOfVerticesError),
+], ids=["vertex-past-str-limit", "index", "point"])
+def test_huge_inputs_raise_short_messages(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert len(str(info.value)) < 200, str(info.value)
+
+
 class TestAffineDimension:
     def test_rhombus_is_two_dimensional(self, k3):
         assert affine_dimension(polytope_vertices(k3)) == 2
@@ -182,6 +196,42 @@ class TestEnumeration:
         for g in graphs:
             fv = enumerate_faces_bruteforce(g).f_vector(True)
             assert sum((-1) ** d * c for d, c in fv.items()) == 0
+
+
+def upper_covers(lat):
+    """Each face's upper covers: the minimal sets among closure(F + p) over the facets (Lindig 2000)."""
+    full = frozenset(range(len(lat.points)))
+    facets = lat.facets()
+
+    def closure(s):
+        return frozenset.intersection(full, *(f for f in facets if s <= f))
+
+    covers = {}
+    for face in lat.faces:
+        above = {closure(face | {p}) for p in full - face}
+        covers[face] = {c for c in above if not any(o < c for o in above)}
+    return covers
+
+
+class TestLatticePastTheCap:
+    # The first two seeds whose DAG on 8 vertices has 16 or 17 edges; the default cap is 16 points.
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_graded_diamonds_euler_and_enumeration(self, seed):
+        g = random_dag(Random(seed), 8)
+        m = len(g.edges)
+        assert 16 <= m <= 17
+        lat = enumerate_faces_bruteforce(g, cap=m + 1)
+        covers = upper_covers(lat)
+        for face, above in covers.items():
+            assert all(lat.faces[c] == lat.faces[face] + 1 for c in above)
+            for top in set().union(*(covers[c] for c in above)):
+                assert sum(c <= top for c in above) == 2
+        assert sum((-1) ** d for d in lat.faces.values()) == 0
+        theory = {
+            descriptor_indices(f.subgraph, f.contains_origin): f.dim
+            for f in enumerate_faces(g, max_edges=m, include_empty=True)
+        }
+        assert theory == lat.faces
 
 
 class TestIntegerKernel:
