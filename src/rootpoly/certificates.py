@@ -108,7 +108,7 @@ def verify_certificate(g: Digraph, h: Subgraph, cert: Certificate, contains_orig
         return False
     scale = lcm(c0.denominator, *(x.denominator for x in cert.c))
     c = [x.numerator * (scale // x.denominator) for x in cert.c]
-    k0 = int(c0 * scale)
+    k0 = c0.numerator * (scale // c0.denominator)
     gap = [c[u] - c[v] for u, v in g.arcs]  # c.p at the point e_u - e_v, scaled
     # With no gap below k0, the gaps equal to k0 are exactly H's edges when there are |H| of them, all on H.
     return min(gap, default=k0) >= k0 and gap.count(k0) == len(h.mask) and all(gap[i] == k0 for i in h.mask)

@@ -185,11 +185,10 @@ def _cmd_verify(args) -> int:
         graphs = crosscheck.random_dags(args.seed, args.random, args.count, args.max_edges)
         source = f"random n={args.random} count={args.count} max-edges={args.max_edges} seed={args.seed}"
     else:
-        g = load_digraph(args.graph)
-        if len(g.edges) + 1 > BRUTE_FORCE_CAP:
-            raise InputError(f"graph too large for the brute-force oracle (more than {BRUTE_FORCE_CAP - 1} edges)")
-        graphs = [g]
+        graphs = [load_digraph(args.graph)]
         source = f"graph {args.graph}"
+    if any(len(g.edges) + 1 > BRUTE_FORCE_CAP for g in graphs):
+        raise InputError(f"graph too large for the brute-force oracle (more than {BRUTE_FORCE_CAP - 1} edges)")
     report = crosscheck.check_graphs(graphs, jobs=args.jobs)
     doc = {
         "source": source,

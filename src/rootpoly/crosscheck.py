@@ -2,7 +2,10 @@
 
 For a given ambient graph, every spanning subgraph is tested twice (with and
 without the origin) through both routes; a disagreement records the whole
-graph, the subgraph and the origin flag, not minimised.  Positive decisions
+graph, the subgraph and the origin flag, not minimised.  The hull side is
+read as a set of point bitmasks, ``hull.face_masks``: point 0 is the origin
+and point i + 1 edge i, so (H, origin flag) is the face ``mask << 1 | flag``
+for H's edge mask, and no face dimension is computed.  Positive decisions
 also have their certificates verified.  Ambient graphs come from the caller,
 from all labeled DAGs on n vertices, or from a seeded random generator.
 """
@@ -17,7 +20,7 @@ from multiprocessing import Pool
 from .certificates import certify, verify_certificate
 from .faces import build_hcomp
 from .graphs import Digraph, DirectedCycleError, Edge, Subgraph
-from .hull import FaceLattice, descriptor_indices, enumerate_faces_bruteforce
+from .hull import FaceLattice, face_masks, polytope_vertices
 
 
 @dataclass(frozen=True)
@@ -51,17 +54,24 @@ class CheckReport:
 
 
 def check_graph(g: Digraph, lattice: FaceLattice | None = None) -> CheckReport:
-    """Exhaustively compare both face predicates with the hull oracle on one graph."""
+    """Exhaustively compare both face predicates with the hull oracle on one graph.
+
+    The oracle's faces are ``hull.face_masks`` of G's points, or the faces of
+    the given lattice.  Subgraph i is the one whose edge mask is i.
+    """
     if lattice is None:
-        lattice = enumerate_faces_bruteforce(g)
+        faces = face_masks(polytope_vertices(g))
+    else:
+        faces = {sum(1 << i for i in face) for face in lattice.faces}
     report = CheckReport(graphs=1)
-    m = len(g.edges)
-    for mask in range(1 << m):
-        h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
+    subsets = [frozenset()]
+    for i in range(len(g.edges)):
+        subsets += [s | {i} for s in subsets]
+    for mask, edges in enumerate(subsets):
+        h = Subgraph(g, edges)
         hc = build_hcomp(g, h)
-        free = descriptor_indices(h, False)
         for contains_origin in (True, False):
-            expected = (free | {0} if contains_origin else free) in lattice.faces
+            expected = (mask << 1 | contains_origin) in faces
             got = hc.is_tilde_face() if contains_origin else hc.is_q_face()
             report.checks += 1
             if got != expected:

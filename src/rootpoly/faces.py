@@ -24,7 +24,6 @@ round k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, count
 from operator import eq
 
@@ -36,6 +35,7 @@ from .graphs import (
     NotAlternatingError,
     Subgraph,
     is_alternating,
+    lazy,
     sink_first_labels,
     undirected_components,
 )
@@ -61,7 +61,7 @@ class HComp:
     def vertex_count(self) -> int:
         return self.components.count
 
-    @cached_property
+    @lazy
     def contraction(self) -> tuple[list[int], list[int], list[int]]:
         """Parallel lists over E(G)\\E(H) in edge order: source component, target component, index in E(G)."""
         comp = self.components.component_of
@@ -70,29 +70,29 @@ class HComp:
         arcs = [self.g.arcs[i] for i in labels]
         return [comp[u] for u, _ in arcs], [comp[v] for _, v in arcs], labels
 
-    @cached_property
+    @lazy
     def loop(self) -> int | None:
         """Index in E(G) of the first contracted edge that joins a component to itself, or None."""
         sources, targets, labels = self.contraction
         j = next(compress(count(), map(eq, sources, targets)), None)
         return None if j is None else labels[j]
 
-    @cached_property
+    @lazy
     def removal_order(self) -> list[int]:
         """Kahn's sink-first labels of the components, 0 on every one on a directed cycle or upstream of one."""
         return sink_first_labels(self.vertex_count, zip(*self.contraction[:2]))
 
-    @cached_property
+    @lazy
     def order(self) -> list[int] | None:
         """Component labels 1..k dropping along every contracted edge, or None on a directed cycle."""
         return None if 0 in self.removal_order else self.removal_order
 
-    @cached_property
+    @lazy
     def weights(self) -> WeightFunction | None:
         """H's weight function, or None when H is not path consistent."""
         return _weight_function(self.components)
 
-    @cached_property
+    @lazy
     def potentials(self) -> tuple[list[int], list[int] | None]:
         """Bellman-Ford over H's own weights, as (potentials, negative cycle); H must be path consistent."""
         return _bellman_ford(self, self.weights)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -53,7 +53,29 @@ class OverlappingPartsError(GraphError):
 
 Edge = tuple[int, int]
 
-MAX_VERTICES = 100_000  # the most vertices an edge-list header may declare
+MAX_VERTICES = 100_000  # the most vertices a Digraph, or an edge-list header, may have
+
+
+class lazy:
+    """A stage computed at its first read and then stored on the instance, which reads it as a plain attribute.
+
+    ``functools.cached_property`` without its lock: the stages are pure, so
+    two threads racing on a first read store equal values.  ``func`` is the
+    wrapped function, read at each first access.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _clip(value: object, quote: bool = False) -> str:
@@ -139,7 +161,7 @@ def strong_components(k: int, arcs: Iterable[Edge]) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class Digraph:
-    """A loop-free directed acyclic graph with vertex set {1, ..., n} and an ordered edge list.
+    """A loop-free directed acyclic graph with vertex set {1, ..., n}, n <= MAX_VERTICES, and an ordered edge list.
 
     Any acyclic labeling is accepted; edges need not be oriented from a
     smaller to a larger vertex.  The first fault in edge order raises;
@@ -154,6 +176,8 @@ class Digraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise VertexRangeError(f"vertex count must be positive, got {_clip(self.n)}")
+        if self.n > MAX_VERTICES:
+            raise VertexRangeError(f"vertex count {_clip(self.n)} is above the limit of {MAX_VERTICES}")
         edge_index: dict[Edge, int] = {}
         for i, (u, v) in enumerate(self.edges):
             if not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -169,7 +193,7 @@ class Digraph:
         object.__setattr__(self, "edge_index", edge_index)
         object.__setattr__(self, "arcs", arcs)
 
-    @cached_property
+    @lazy
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
@@ -222,15 +246,15 @@ class Subgraph:
     def n(self) -> int:
         return self.parent.n
 
-    @cached_property
+    @lazy
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.mask))
 
-    @cached_property
+    @lazy
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(self.parent.edges[i] for i in self.indices)
+        return tuple(map(self.parent.edges.__getitem__, self.indices))
 
-    @cached_property
+    @lazy
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
@@ -261,7 +285,7 @@ class ComponentStructure:
     def component(self, v: int) -> int:
         return self.component_of[v - 1]
 
-    @cached_property
+    @lazy
     def members(self) -> tuple[tuple[int, ...], ...]:
         groups: list[list[int]] = [[] for _ in range(self.count)]
         for v, c in enumerate(self.component_of, start=1):
@@ -272,13 +296,15 @@ class ComponentStructure:
 def undirected_components(g: GraphLike) -> ComponentStructure:
     """Components and path labelling of the underlying undirected graph, in one breadth-first search.
 
-    Isolated vertices are singletons.
+    Isolated vertices are singletons.  An adjacency entry is the neighbour,
+    negated when the edge points into the vertex being read, so the step is
+    its sign and the edge is rebuilt only for a conflict.
     """
     n = g.n
-    adj: list[list[tuple[int, int, Edge]]] = [[] for _ in range(n + 1)]
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in g.edges:
-        adj[u].append((v, 1, (u, v)))
-        adj[v].append((u, -1, (u, v)))
+        adj[u].append(v)
+        adj[v].append(-u)
     comp = [-1] * (n + 1)
     label = [0] * (n + 1)
     conflict = None
@@ -286,22 +312,28 @@ def undirected_components(g: GraphLike) -> ComponentStructure:
     for s in range(1, n + 1):
         if comp[s] >= 0:
             continue
-        comp[s] = count
+        comp[s] = c = count
+        count += 1
+        if not adj[s]:
+            continue
         queue = [s]
         for v in queue:  # the list grows as it is read: first in, first out
-            for x, step, edge in adj[v]:
-                implied = label[v] + step
+            here = label[v]
+            for x in adj[v]:
+                if x > 0:
+                    implied = here + 1
+                else:
+                    x, implied = -x, here - 1
                 if comp[x] < 0:
-                    comp[x] = count
+                    comp[x] = c
                     label[x] = implied
                     queue.append(x)
                 elif conflict is None and label[x] != implied:
-                    conflict = (x, label[x], implied, edge)
-        base = min(label[v] for v in queue)
+                    conflict = (x, label[x], implied, (v, x) if implied > here else (x, v))
+        base = min(map(label.__getitem__, queue))
         if base:
             for v in queue:
                 label[v] -= base
-        count += 1
     return ComponentStructure(tuple(comp[1:]), count, tuple(label[1:]), conflict)
 
 

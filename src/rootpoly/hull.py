@@ -4,13 +4,17 @@ Everything here works from the definition of a face, without the paper's
 combinatorial theory, so the module is an independent oracle for
 cross-checks at desk scale.  The vertices are one tuple of points,
 ``polytope_vertices(g)``: point 0 is the origin and point i + 1 edge i, as
-``descriptor_indices`` numbers a face.  ``FaceLattice.f_vector`` counts the
-empty and improper faces only with include_trivial, as the enumeration does.
+``descriptor_indices`` numbers a face.
 
-The face lattice is every intersection of facets, found by linear algebra
-alone.  A single vertex subset is decided by an exact rational linear
-program, whose optimum gives a supporting hyperplane as a witness.  Ranks
-and nullspaces come from fraction-free integer row reduction.
+The faces are every intersection of facets, found by linear algebra alone.
+``face_masks`` gives them as point bitmasks (bit i for point i), which is
+all a membership test needs; ``enumerate_faces_bruteforce`` turns them into
+a ``FaceLattice`` and adds the dimensions, one rank per face.
+``FaceLattice.f_vector`` counts the empty and improper faces only with
+include_trivial, as the enumeration does.  A single vertex subset is
+decided by an exact rational linear program, whose optimum gives a
+supporting hyperplane as a witness.  Ranks and nullspaces come from
+fraction-free integer row reduction.
 """
 
 from __future__ import annotations
@@ -294,7 +298,7 @@ def _facets(rows: Sequence[Sequence[int]], first: int, found: set[int]) -> None:
                 if r is not pivot:
                     r = [pivot[p] * x - r[p] * y for x, y in zip(r, pivot)]
                     g = gcd(*r)
-                    rest.append([x // g for x in r])
+                    rest.append([x // g for x in r] if g > 1 else r)
             _facets(rest, p + 1, found)
 
 
@@ -302,17 +306,16 @@ def _facets(rows: Sequence[Sequence[int]], first: int, found: set[int]) -> None:
 BRUTE_FORCE_CAP = 16
 
 
-def enumerate_faces_bruteforce(g: Digraph, cap: int = BRUTE_FORCE_CAP) -> FaceLattice:
-    """Every face as an intersection of facets, by linear algebra alone; desk scale only.
+def face_masks(points: Sequence[Point], cap: int = BRUTE_FORCE_CAP) -> set[int]:
+    """Every face as the bitmask of its points, by linear algebra alone; desk scale only.
 
-    Projected onto the pivot columns of their differences from point 0, a
-    map injective on their affine hull, the points span R^d.  Lifted to
-    (q, -1), each affinely independent d-subset fixes one hyperplane.  A
-    vertex set is a face exactly when it is the intersection of the facets
-    that contain it (Kaibel & Pfetsch 2002).  A face's dimension is the rank
-    of its lifted points minus one.
+    Bit i stands for point i.  Projected onto the pivot columns of their
+    differences from point 0, a map injective on their affine hull, the
+    points span R^d.  Lifted to (q, -1), each affinely independent d-subset
+    fixes one hyperplane.  A vertex set is a face exactly when it is the
+    intersection of the facets that contain it (Kaibel & Pfetsch 2002), so
+    the faces are the whole set and every intersection of facets.
     """
-    points = polytope_vertices(g)
     k = len(points)
     if k > cap:
         raise TooLargeError(f"{k} vertices exceeds the cap of {cap}")
@@ -323,5 +326,17 @@ def enumerate_faces_bruteforce(g: Digraph, cap: int = BRUTE_FORCE_CAP) -> FaceLa
     closed = {(1 << k) - 1}
     for f in facets:
         closed |= {f & x for x in closed}
-    faces = [frozenset(i for i in range(k) if mask >> i & 1) for mask in sorted(closed)]
-    return FaceLattice(points, {face: _rank([lifted[i] for i in face]) - 1 for face in faces})
+    return closed
+
+
+def enumerate_faces_bruteforce(g: Digraph, cap: int = BRUTE_FORCE_CAP) -> FaceLattice:
+    """Every face of ``face_masks`` as a vertex-index set with its dimension; desk scale only.
+
+    A face's dimension is the rank of its points lifted to (p, -1), minus one.
+    """
+    points = polytope_vertices(g)
+    faces = {}
+    for mask in sorted(face_masks(points, cap)):
+        face = frozenset(i for i in range(len(points)) if mask >> i & 1)
+        faces[face] = _rank([points[i] + (-1,) for i in face]) - 1
+    return FaceLattice(points, faces)

@@ -74,6 +74,71 @@ def lp_reference():
     return lp_lattice
 
 
+def tuple_components(g):
+    """The breadth-first search with one (neighbour, step, edge) tuple per adjacency entry: the reference for
+    ``graphs.undirected_components``, labels and first conflict included."""
+    from rootpoly.graphs import ComponentStructure
+
+    n = g.n
+    adj = [[] for _ in range(n + 1)]
+    for u, v in g.edges:
+        adj[u].append((v, 1, (u, v)))
+        adj[v].append((u, -1, (u, v)))
+    comp = [-1] * (n + 1)
+    label = [0] * (n + 1)
+    conflict = None
+    count = 0
+    for s in range(1, n + 1):
+        if comp[s] >= 0:
+            continue
+        comp[s] = count
+        queue = [s]
+        for v in queue:
+            for x, step, edge in adj[v]:
+                implied = label[v] + step
+                if comp[x] < 0:
+                    comp[x] = count
+                    label[x] = implied
+                    queue.append(x)
+                elif conflict is None and label[x] != implied:
+                    conflict = (x, label[x], implied, edge)
+        base = min(label[v] for v in queue)
+        if base:
+            for v in queue:
+                label[v] -= base
+        count += 1
+    return ComponentStructure(tuple(comp[1:]), count, tuple(label[1:]), conflict)
+
+
+def per_mask_check_graph(g, lattice):
+    """``crosscheck.check_graph`` as a per-mask loop: each subgraph's edge set built alone and looked up in
+    ``lattice.faces`` by ``descriptor_indices``.  The reference for the bitmask lookup."""
+    from rootpoly.certificates import certify, verify_certificate
+    from rootpoly.crosscheck import CheckReport, Disagreement
+    from rootpoly.faces import build_hcomp
+    from rootpoly.graphs import Subgraph
+    from rootpoly.hull import descriptor_indices
+
+    report = CheckReport(graphs=1)
+    m = len(g.edges)
+    for mask in range(1 << m):
+        h = Subgraph(g, frozenset(i for i in range(m) if mask >> i & 1))
+        hc = build_hcomp(g, h)
+        free = descriptor_indices(h, False)
+        for contains_origin in (True, False):
+            expected = (free | {0} if contains_origin else free) in lattice.faces
+            got = hc.is_tilde_face() if contains_origin else hc.is_q_face()
+            report.checks += 1
+            failure = Disagreement(g.n, g.edges, h.edges, contains_origin, got, expected)
+            if got != expected:
+                report.disagreements.append(failure)
+            elif got:
+                report.certificates += 1
+                if not verify_certificate(g, h, certify(hc, contains_origin), contains_origin):
+                    report.certificate_failures.append(failure)
+    return report
+
+
 def _canonical(face):
     return face.dim, face.contains_origin, face.subgraph.indices
 

@@ -264,6 +264,17 @@ class TestVerify:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: edge cap 0 ")
 
+    def test_random_graphs_over_the_oracle_cap_are_refused(self, capsys):
+        # Some of three DAGs on 8 vertices with up to 20 edges have 16 or more.
+        code, out, err = run(capsys, "verify", "--random", "8", "--count", "3", "--max-edges", "20", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error: graph too large for the brute-force oracle (more than 15 edges)\n"
+
+    def test_an_edge_cap_above_the_oracle_cap_needs_only_small_draws(self, capsys):
+        # A DAG on 5 vertices has at most 10 edges, whatever the cap.
+        code, out, _ = run(capsys, "verify", "--random", "5", "--count", "3", "--max-edges", "16")
+        assert code == 0 and "0 disagreements" in out
+
     def test_brute_force_cap_is_refused_at_once(self, tmp_path):
         # 17 points for the brute-force oracle, 2^16 subgraphs to check: refused before any work.
         edges = [(i, j) for i in range(1, 8) for j in range(i + 1, 8)][:16]

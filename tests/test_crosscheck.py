@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import per_mask_check_graph
 
 from rootpoly.crosscheck import (
     UnreachableCapError,
@@ -13,6 +14,7 @@ from rootpoly.crosscheck import (
     random_dags,
 )
 from rootpoly.graphs import Digraph, complete_graph, validate
+from rootpoly.hull import FaceLattice, enumerate_faces_bruteforce
 
 
 class TestAllDags:
@@ -132,3 +134,34 @@ class TestCheckGraph:
         report = check_graphs(graphs, jobs=64)
         assert recording_pool.sizes == [2]
         assert report.ok and report.checks == check_graphs(graphs).checks == 2 * (2 + 8 + 2)
+
+
+def _outcome(report):
+    return report.checks, report.certificates, report.disagreements, report.certificate_failures
+
+
+class TestBitmaskMembership:
+    """``check_graph`` looks up (H, origin flag) as the point bitmask ``mask << 1 | flag``; the per-mask
+    loop of ``conftest.per_mask_check_graph`` builds each face's index set instead."""
+
+    def test_matches_the_per_mask_loop_on_every_small_dag(self):
+        for g in [g for n in range(1, 5) for g in all_dags(n)]:
+            lattice = enumerate_faces_bruteforce(g)
+            want = _outcome(per_mask_check_graph(g, lattice))
+            assert _outcome(check_graph(g)) == want == _outcome(check_graph(g, lattice)), g
+            assert want[0] == 2 ** (len(g.edges) + 1)
+
+    def test_reports_the_same_disagreements_on_a_damaged_lattice(self, k3):
+        # Dropping the edge (1, 3) alone and adding the non-face {origin, (1, 3)}
+        # must read as the same two disagreements through both lookups.
+        lattice = enumerate_faces_bruteforce(k3)
+        faces = dict(lattice.faces)
+        del faces[frozenset({2})]
+        faces[frozenset({0, 2})] = 1
+        lattice = FaceLattice(lattice.points, faces)
+        got = check_graph(k3, lattice)
+        assert _outcome(got) == _outcome(per_mask_check_graph(k3, lattice))
+        assert [(d.subgraph_edges, d.contains_origin, d.combinatorial) for d in got.disagreements] == [
+            (((1, 3),), True, False),
+            (((1, 3),), False, True),
+        ]

@@ -1,5 +1,5 @@
 import pytest
-from conftest import edge_list_text, mutate_edge_list
+from conftest import edge_list_text, mutate_edge_list, tuple_components
 from hypothesis import given, settings, strategies as st
 
 import rootpoly.graphs as graphs
@@ -12,6 +12,7 @@ from rootpoly.graphs import (
     NotAlternatingError,
     OverlappingPartsError,
     SelfLoopError,
+    Subgraph,
     VertexRangeError,
     alternating_induced,
     bipartition,
@@ -92,6 +93,19 @@ class TestValidate:
         with pytest.raises(VertexRangeError):
             validate(0, [])
 
+    def test_vertex_count_above_the_limit(self):
+        with pytest.raises(VertexRangeError, match=r"^vertex count an integer of 16,610 bits is above the limit"):
+            validate(10**5000, [])
+        with pytest.raises(VertexRangeError, match=f"^vertex count {graphs.MAX_VERTICES + 1} is above the limit"):
+            validate(graphs.MAX_VERTICES + 1, [])
+        assert validate(graphs.MAX_VERTICES, []).n == graphs.MAX_VERTICES
+
+    def test_vertex_limit_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+        assert Digraph(5, ()).n == 5
+        with pytest.raises(VertexRangeError, match="vertex count 6 is above the limit of 5"):
+            Digraph(6, ())
+
     def test_arbitrary_acyclic_labeling_accepted(self):
         g = validate(3, [(3, 1), (3, 2), (1, 2)])
         assert len(g.edges) == 3
@@ -164,7 +178,6 @@ class TestSerialization:
         assert parse_digraph("5 1\n1 5\n").n == 5
         with pytest.raises(GraphError, match="6 vertices, above the limit of 5"):
             parse_digraph("6 0\n")
-        assert Digraph(6, ()).n == 6  # graphs built in code are not bounded
 
     @given(dags())
     def test_round_trip_random(self, g):
@@ -250,6 +263,15 @@ class TestComponents:
     def test_ids_deterministic(self):
         c = undirected_components(validate(5, [(4, 5), (1, 2)]))
         assert c.component(1) == 0 and c.component(4) == 2 and c.component(3) == 1
+
+    @given(dags(), st.data())
+    def test_matches_the_tuple_search(self, g, data):
+        # Signed adjacency entries must give the labels and the first conflict
+        # of one (neighbour, step, edge) tuple per entry, on G and on any H.
+        mask = data.draw(st.sets(st.integers(0, len(g.edges) - 1)) if g.edges else st.just(set()))
+        for graph in (g, Subgraph(g, frozenset(mask))):
+            got, want = undirected_components(graph), tuple_components(graph)
+            assert (got, got.labels, got.conflict) == (want, want.labels, want.conflict)
 
     @given(dags())
     def test_reversing_edges_preserves_components(self, g):
