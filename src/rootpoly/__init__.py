@@ -5,8 +5,11 @@ point e_i - e_j per directed edge (i, j).  This package decides, purely
 combinatorially, which subgraphs of G cut out faces of that polytope,
 emits exact rational supporting-hyperplane certificates for the positive
 answers, enumerates full face lattices, and cross-checks everything
-against an independent brute-force oracle built on exact linear
-programming.
+against an independent brute-force oracle that works from the definition
+alone: it finds the facets by exact integer elimination and takes the
+face lattice as every intersection of facets, while an exact rational LP
+decides single vertex subsets and gives supporting hyperplanes as
+witnesses.
 """
 
 from .certificates import (

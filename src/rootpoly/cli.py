@@ -110,10 +110,17 @@ def _face_json(face) -> dict:
     return {"edges": [list(e) for e in face.subgraph.edges], "origin": face.contains_origin, "dim": face.dim}
 
 
+def _edge_cap(args) -> int:
+    if args.max_edges < 0:
+        raise InputError("--max-edges must be nonnegative")
+    return args.max_edges
+
+
 def _cmd_enumerate(args) -> int:
+    cap = _edge_cap(args)
     g = load_digraph(args.graph)
     trivial = args.include_trivial_faces
-    faces = enumerate_faces(g, args.max_edges, trivial)
+    faces = enumerate_faces(g, cap, trivial)
     doc = {
         "faces": [_face_json(f) for f in faces],
         "fvector": {str(d): c for d, c in count_by_dimension(faces, trivial).items()},
@@ -165,8 +172,8 @@ def _cmd_kn(args) -> int:
 
 
 def _cmd_fvector(args) -> int:
-    g = load_digraph(args.graph)
-    counts = fvector(g, args.include_trivial_faces, args.max_edges)
+    cap = _edge_cap(args)
+    counts = fvector(load_digraph(args.graph), args.include_trivial_faces, cap)
     doc = {"fvector": {str(d): c for d, c in counts.items()}}
     _print_doc(doc, args.json, ["f-vector " + json.dumps(doc["fvector"])])
     return 0
@@ -180,9 +187,7 @@ def _cmd_verify(args) -> int:
             raise InputError("--random needs at least 1 vertex")
         if args.count < 1:
             raise InputError("--count must be at least 1")
-        if args.max_edges < 0:
-            raise InputError("--max-edges must be nonnegative")
-        graphs = crosscheck.random_dags(args.seed, args.random, args.count, args.max_edges)
+        graphs = crosscheck.random_dags(args.seed, args.random, args.count, _edge_cap(args))
         source = f"random n={args.random} count={args.count} max-edges={args.max_edges} seed={args.seed}"
     else:
         graphs = [load_digraph(args.graph)]

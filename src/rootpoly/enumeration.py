@@ -8,11 +8,12 @@ pass (plus Bellman-Ford without the origin) over G's arcs, so the cost
 grows with the number of faces, not with the 2^m spanning subgraphs; both
 face dimensions come from its component count.  Complete, connected
 alternating and transitively closed graphs also have direct generators
-(interval decompositions, independent-set splits, vertex bipartitions),
-cross-checked against the oracle in the tests; a K_n listing builds K_n
-once.  Face counts are ``{dimension: count}`` dicts in increasing
-dimension; ``count_by_dimension`` counts the empty and improper faces only
-on request.  ``fvector`` counts what ``enumerate_faces`` lists, and
+(compositions cut by the bits of their index and block data for K_n,
+independent-set splits, vertex bipartitions), cross-checked against the
+hull in the tests; a K_n listing builds K_n once.  Face counts are
+``{dimension: count}`` dicts in increasing dimension;
+``count_by_dimension`` counts the empty and improper faces only on
+request.  ``fvector`` counts what ``enumerate_faces`` lists, and
 ``kn_face_counts``, the one f-vector formula for K_n, backs ``kn --fvector``.
 """
 
@@ -166,29 +167,17 @@ def fvector(g: Digraph, include_trivial: bool = False, max_edges: int = 20) -> d
 
 
 def kn_tilde_faces(n: int) -> list[Subgraph]:
-    """Origin-containing faces of the polytope of K_n: one subgraph per composition of [n].
+    """Origin-containing faces of the polytope of K_n: face c is the composition of [n] cut where c has bits.
 
-    Each face is a disjoint union of complete graphs on consecutive
-    intervals; there are 2^(n-1) of them.
+    Bit p - 1 of c cuts between p and p + 1, and edge (i, j) of K_n is kept
+    exactly when no cut falls on i..j-1, so each face is a disjoint union of
+    complete graphs on consecutive intervals; there are 2^(n-1) of them.
     """
     kn = complete_graph(n)
-    out = []
-    for cuts in range(1 << (n - 1)):
-        blocks = []
-        start = 1
-        for pos in range(1, n):
-            if cuts >> (pos - 1) & 1:
-                blocks.append(range(start, pos + 1))
-                start = pos + 1
-        blocks.append(range(start, n + 1))
-        mask = set()
-        for block in blocks:
-            for i in block:
-                for j in block:
-                    if i < j:
-                        mask.add(kn.edge_index[(i, j)])
-        out.append(Subgraph(kn, frozenset(mask)))
-    return out
+    return [
+        Subgraph(kn, frozenset(k for k, (i, j) in enumerate(kn.edges) if not cuts >> (i - 1) & ((1 << (j - i)) - 1)))
+        for cuts in range(1 << (n - 1))
+    ]
 
 
 @dataclass(frozen=True)
@@ -218,15 +207,10 @@ class KnFaceDatum:
 
 
 def datum_subgraph(datum: KnFaceDatum, n: int) -> Subgraph:
-    """The face subgraph of K_n generated by a datum: edges from L_i to R_i within each block."""
+    """The face subgraph of K_n generated by a datum on vertices of [n]: edges from L_i to R_i within each block."""
     kn = complete_graph(n)
-    edges = []
-    for left, right in datum.blocks:
-        for a in left:
-            for b in right:
-                if a < b:
-                    edges.append((a, b))
-    return kn.subgraph(edges)
+    index = kn.edge_index
+    return Subgraph(kn, frozenset(index[a, b] for left, right in datum.blocks for a in left for b in right if a < b))
 
 
 def subgraph_datum(h: Subgraph) -> KnFaceDatum:
@@ -291,54 +275,43 @@ def kn_q_faces(n: int) -> list[Subgraph]:
 # --- alternating graphs ---------------------------------------------------------
 
 
-def _check_connected_alternating(g: Digraph) -> None:
-    if not is_alternating(g):
-        raise NotAlternatingError("graph is not alternating")
+def _check_connected(g: Digraph) -> None:
     if undirected_components(g).count != 1:
         raise NotConnectedError("underlying undirected graph is not connected")
 
 
-def _neighbors(g: Digraph, vertices: set[int]) -> set[int]:
-    out = set()
-    for u, v in g.edges:
-        if v in vertices:
-            out.add(u)
-        if u in vertices:
-            out.add(v)
-    return out
+def _check_connected_alternating(g: Digraph) -> None:
+    if not is_alternating(g):
+        raise NotAlternatingError("graph is not alternating")
+    _check_connected(g)
+
+
+def _vertex_subsets(n: int) -> Iterable[set[int]]:
+    return ({v for v in range(1, n + 1) if pick >> (v - 1) & 1} for pick in range(1 << n))
 
 
 def facets_alternating(g: Digraph) -> list[Subgraph]:
     """Facets containing the origin, for connected alternating G.
 
-    Every facet splits the vertices as A + N(A) against the rest for some
-    independent set A, with the facet the union of the two induced
-    subgraphs.  Sink subsets alone are not enough: a facet may leave a
-    single source vertex isolated, and only an independent set containing
-    sources reaches it (the square graph already shows this).  Candidates
-    are kept when the underlying graph has exactly two components and the
-    face criterion holds; distinct A can generate the same facet, so
-    results are deduplicated.
+    A facet's two components split the vertices, and no edge runs from the
+    second side into the first.  The second side is A + N(A) for the set A
+    of its sources, and the first side is A + N(A) for the set A of its
+    sinks, whenever the side has two or more vertices; only the one-edge
+    graph splits into two single vertices, and A itself covers those.  So
+    every independent set A splits off A + N(A) and A, and the candidates
+    with exactly two components that meet the face criterion are kept.
+    Sink subsets alone are not enough: a facet may leave a single source
+    vertex isolated (the square graph already shows this).
     """
     _check_connected_alternating(g)
-    seen: set[frozenset[int]] = set()
-    out: list[Subgraph] = []
-    for pick in range(1 << g.n):
-        a = {v for v in range(1, g.n + 1) if pick >> (v - 1) & 1}
-        nbrs = _neighbors(g, a)
-        if a & nbrs:
-            continue
-        core = a | nbrs
-        rest = set(range(1, g.n + 1)) - core
-        mask = induced(g, core).mask | induced(g, rest).mask
-        if mask in seen:
-            continue
-        seen.add(mask)
-        hc = build_hcomp(g, Subgraph(g, mask))
-        if hc.vertex_count == 2 and hc.is_tilde_face():
-            out.append(hc.h)
-    out.sort(key=lambda h: h.indices)
-    return out
+    vertices = set(range(1, g.n + 1))
+    candidates = set()
+    for a in _vertex_subsets(g.n):
+        nbrs = {u for u, v in g.edges if v in a} | {v for u, v in g.edges if u in a}
+        if a.isdisjoint(nbrs):
+            candidates.update(induced(g, side).mask | induced(g, vertices - side).mask for side in (a, a | nbrs))
+    splits = (build_hcomp(g, Subgraph(g, mask)) for mask in candidates)
+    return sorted((hc.h for hc in splits if hc.vertex_count == 2 and hc.is_tilde_face()), key=lambda h: h.indices)
 
 
 def faces_alternating_codim(g: Digraph, d: int) -> list[Subgraph]:
@@ -352,19 +325,9 @@ def faces_alternating_codim(g: Digraph, d: int) -> list[Subgraph]:
         raise ValueError(f"codimension must lie in 0..{g.n - 1}, got {d}")
     if d == 0:
         return [g.full_subgraph()]
-    facets = facets_alternating(g)
-    seen: set[frozenset[int]] = set()
-    out: list[Subgraph] = []
-    for chosen in combinations(facets, d):
-        mask = frozenset.intersection(*(h.mask for h in chosen))
-        if mask in seen:
-            continue
-        seen.add(mask)
-        h = Subgraph(g, mask)
-        if undirected_components(h).count == d + 1:
-            out.append(h)
-    out.sort(key=lambda h: h.indices)
-    return out
+    meets = {frozenset.intersection(*(h.mask for h in chosen)) for chosen in combinations(facets_alternating(g), d)}
+    faces = (Subgraph(g, mask) for mask in meets)
+    return sorted((h for h in faces if undirected_components(h).count == d + 1), key=lambda h: h.indices)
 
 
 # --- transitively closed graphs ---------------------------------------------------
@@ -373,23 +336,13 @@ def faces_alternating_codim(g: Digraph, d: int) -> list[Subgraph]:
 def facets_transitively_closed(g: Digraph) -> list[Subgraph]:
     """Facets avoiding the origin, for connected transitively closed G.
 
-    One candidate per vertex bipartition L | R of [n], keeping the
-    alternating-induced subgraphs whose underlying graph is connected.
+    One candidate G_{L,R} per vertex bipartition L | R of [n], kept when
+    its underlying graph is connected.
     """
     if not is_transitively_closed(g):
         raise NotTransitivelyClosedError("graph is not transitively closed")
-    if undirected_components(g).count != 1:
-        raise NotConnectedError("underlying undirected graph is not connected")
-    seen: set[frozenset[int]] = set()
-    out: list[Subgraph] = []
-    for pick in range(1 << g.n):
-        left = {v for v in range(1, g.n + 1) if pick >> (v - 1) & 1}
-        right = set(range(1, g.n + 1)) - left
-        h = alternating_induced(g, left, right)
-        if h.mask in seen:
-            continue
-        seen.add(h.mask)
-        if undirected_components(h).count == 1:
-            out.append(h)
-    out.sort(key=lambda h: h.indices)
-    return out
+    _check_connected(g)
+    vertices = set(range(1, g.n + 1))
+    candidates = {alternating_induced(g, left, vertices - left).mask for left in _vertex_subsets(g.n)}
+    faces = (Subgraph(g, mask) for mask in candidates)
+    return sorted((h for h in faces if undirected_components(h).count == 1), key=lambda h: h.indices)

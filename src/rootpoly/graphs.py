@@ -355,12 +355,8 @@ def bipartition(g: GraphLike) -> tuple[frozenset[int], frozenset[int]]:
     """
     if not is_alternating(g):
         raise NotAlternatingError("graph is not alternating")
-    has_in = [False] * (g.n + 1)
-    for _, v in g.edges:
-        has_in[v] = True
-    left = frozenset(v for v in range(1, g.n + 1) if not has_in[v])
-    right = frozenset(v for v in range(1, g.n + 1) if has_in[v])
-    return left, right
+    right = frozenset(v for _, v in g.edges)
+    return frozenset(range(1, g.n + 1)) - right, right
 
 
 def is_transitively_closed(g: GraphLike) -> bool:

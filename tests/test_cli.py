@@ -131,6 +131,14 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", files["k4"], "--max-edges", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["enumerate", "fvector"])
+    @pytest.mark.parametrize("graph", ["k3", "edgeless"])
+    def test_negative_edge_cap_is_rejected(self, files, capsys, command, graph):
+        # With verify's message: the edgeless graph was told that 0 edges exceed a cap of -1.
+        code, out, err = run(capsys, command, files[graph], "--max-edges", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --max-edges must be nonnegative\n"
+
 
 class TestKn:
     def test_tilde_fvector(self, capsys):

@@ -250,6 +250,18 @@ class TestKnTilde:
     def test_n1(self):
         assert len(kn_tilde_faces(1)) == 1
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_face_i_is_cut_by_the_bits_of_i(self, n):
+        # The order `kn N` prints: (p, p + 1) is missing exactly when bit p - 1
+        # of i is set, and (a, b) is present exactly when the path a..b is.
+        faces = kn_tilde_faces(n)
+        assert len(faces) == 2 ** (n - 1)
+        for i, h in enumerate(faces):
+            kept = h.edge_set
+            assert [(p, p + 1) not in kept for p in range(1, n)] == [bool(i >> (p - 1) & 1) for p in range(1, n)]
+            for a, b in complete_graph(n).edges:
+                assert ((a, b) in kept) == all((p, p + 1) in kept for p in range(a, b))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_counts_by_components(self, n):
         faces = kn_tilde_faces(n)
@@ -327,6 +339,14 @@ class TestAlternatingGenerators:
             facets_alternating(k3)
         with pytest.raises(NotConnectedError):
             facets_alternating(validate(4, [(1, 2), (3, 4)]))
+
+    @pytest.mark.parametrize("edge", [(1, 2), (2, 1)])
+    def test_one_edge_graph_has_the_origin_facet(self, edge):
+        # The segment's vertex at the origin: the empty subgraph with the origin.
+        g = validate(2, [edge])
+        assert enumerate_faces_bruteforce(g).facets() == [frozenset({0}), frozenset({1})]
+        for facets in (facets_alternating(g), faces_alternating_codim(g, 1)):
+            assert [h.mask for h in facets] == [frozenset()]
 
     def test_codim_zero_is_the_graph(self, square_graph):
         (h,) = faces_alternating_codim(square_graph, 0)
