@@ -4,12 +4,13 @@ Commands: check, cert, enumerate, kn, fvector, verify.  Graphs are read
 from edge-list files ("n m" header, then one "u v" line per edge).  Exit
 codes: 0 for a positive answer / clean run, 1 for a negative answer or any
 cross-check disagreement, 2 for input errors, unreadable files included.
-A reader closing the pipe early silences the rest, not the exit code.
+The one writer, ``_print_doc``, drops output past an early pipe close.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .faces import (
     LoopObstruction,
     build_hcomp,
 )
-from .graphs import GraphError, load_digraph, load_subgraph
+from .graphs import GraphError, complete_graph, load_digraph, load_subgraph
 from .hull import BRUTE_FORCE_CAP, TooLargeError
 
 
@@ -76,14 +77,21 @@ def _query_result(args) -> dict:
     return result
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A list as json.dumps(indent=2) writes it, from its items' rendered text, closing at the given indent."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
 def _print_doc(doc: dict, as_json: bool, text_lines: list[str]) -> None:
-    """Write a command's output; a reader that closes the pipe early gets the rest discarded."""
+    """Write json.dumps(doc, indent=2), a "faces" member given as its faces' text, or the text lines; a reader
+    that closes the pipe early gets the rest discarded."""
     try:
         if as_json:
-            print(json.dumps(doc, indent=2))
+            values = (_json_list(v, "  ") if k == "faces" else json.dumps(v, indent=2).replace("\n", "\n  ")
+                      for k, v in doc.items())
+            print("{\n" + ",\n".join(f'  "{k}": {v}' for k, v in zip(doc, values)) + "\n}")
         else:
-            for line in text_lines:
-                print(line)
+            print(*text_lines, sep="\n")
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -106,8 +114,12 @@ def _cmd_cert(args) -> int:
     return 0 if result["face"] else 1
 
 
-def _face_json(face) -> dict:
-    return {"edges": [list(e) for e in face.subgraph.edges], "origin": face.contains_origin, "dim": face.dim}
+def _edge_lists(edges, as_json: bool):
+    """A face's edge list from its G-edge indices, as a listing's JSON or text writes it, from one text per edge."""
+    texts = [f"        [\n          {u},\n          {v}\n        ]" if as_json else f"[{u}, {v}]" for u, v in edges]
+    if as_json:
+        return lambda indices: _json_list([texts[i] for i in indices], "      ")
+    return lambda indices: "[" + ", ".join([texts[i] for i in indices]) + "]"
 
 
 def _edge_cap(args) -> int:
@@ -121,14 +133,15 @@ def _cmd_enumerate(args) -> int:
     g = load_digraph(args.graph)
     trivial = args.include_trivial_faces
     faces = enumerate_faces(g, cap, trivial)
-    doc = {
-        "faces": [_face_json(f) for f in faces],
-        "fvector": {str(d): c for d, c in count_by_dimension(faces, trivial).items()},
-    }
-    lines = [f"{len(faces)} faces (improper included)"]
-    lines += [f"  dim {f['dim']}: edges {f['edges']} origin={str(f['origin']).lower()}" for f in doc["faces"]]
-    lines.append("f-vector " + json.dumps(doc["fvector"]))
-    _print_doc(doc, args.json, lines)
+    fvector = {str(d): c for d, c in count_by_dimension(faces, trivial).items()}
+    edges = _edge_lists(g.edges, args.json)
+    listed = [(edges(f.subgraph.indices), str(f.contains_origin).lower(), f.dim) for f in faces]
+    if args.json:
+        items = [f'    {{\n      "edges": {e},\n      "origin": {o},\n      "dim": {d}\n    }}' for e, o, d in listed]
+        _print_doc({"faces": items, "fvector": fvector}, True, [])
+    else:
+        lines = [f"  dim {d}: edges {e} origin={o}" for e, o, d in listed]
+        _print_doc({}, False, [f"{len(faces)} faces (improper included)", *lines, "f-vector " + json.dumps(fvector)])
     return 0
 
 
@@ -159,14 +172,17 @@ def _cmd_kn(args) -> int:
     else:
         out = []
         if not args.q_only:
-            out += [{"edges": [list(e) for e in h.edges], "origin": True} for h in kn_tilde_faces(n)]
+            out += [(h.indices, "true") for h in kn_tilde_faces(n)]
         if not args.tilde_only:
             if empty:
-                out.append({"edges": [], "origin": False})
-            out += [{"edges": [list(e) for e in h.edges], "origin": False} for h in kn_q_faces(n)]
-        doc["faces"] = out
+                out.append(((), "false"))
+            out += [(h.indices, "false") for h in kn_q_faces(n)]
+        edges = _edge_lists(complete_graph(n).edges, args.json)
         lines.append(f"{len(out)} generated faces")
-        lines += [f"  origin={str(f['origin']).lower()} edges {f['edges']}" for f in out]
+        if args.json:
+            doc["faces"] = [f'    {{\n      "edges": {edges(i)},\n      "origin": {o}\n    }}' for i, o in out]
+        else:
+            lines += [f"  origin={o} edges {edges(i)}" for i, o in out]
     _print_doc(doc, args.json, lines)
     return 0
 
@@ -231,6 +247,7 @@ def _add_pair_args(p: argparse.ArgumentParser) -> None:
                         help="ask about the face avoiding the origin")
 
 
+@functools.cache  # built at the first call and kept for the process: parsing leaves the tree unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rootpoly",
                                      description="Face oracle and enumerator for root polytopes of DAGs.")
@@ -286,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, GraphError, InputError, TooLargeError, NotAFaceError, crosscheck.UnreachableCapError) as exc:

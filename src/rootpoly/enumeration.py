@@ -120,20 +120,24 @@ def enumerate_faces(g: Digraph, max_edges: int = 20, include_empty: bool = False
     number of faces, not with 2^m.  With r strong components the face has
     dimension n - r with the origin.  Without it the face lies in the
     hyperplane c.p = 1, which misses the origin, so its dimension is one
-    less, n - r - 1.  The edge count is still capped.
+    less, n - r - 1.  The closures run on G relabelled onto the k vertices
+    that edges touch (k = 1 if none): each isolated vertex is one more
+    component, so n - r = k - r'.  The edge count is still capped.
     """
     m = len(g.edges)
     if m > max_edges:
         raise TooLargeError(f"{m} edges exceeds the enumeration cap of {max_edges}")
+    label = {v: i for i, v in enumerate(sorted({v for e in g.edges for v in e}), 1)}
+    compact = Digraph(max(len(label), 1), tuple((label[u], label[v]) for u, v in g.edges))
     everything = (2 << m) - 1
     out: list[EnumeratedFace] = []
-    points, count = face_closure(g, 0)
+    points, count = face_closure(compact, 0)
     while True:
         h = Subgraph(g, frozenset(i for i in range(m) if points >> (i + 1) & 1))
         if points & 1:
-            out.append(EnumeratedFace(h, True, g.n - count))
+            out.append(EnumeratedFace(h, True, compact.n - count))
         elif points or include_empty:
-            out.append(EnumeratedFace(h, False, g.n - count - 1))
+            out.append(EnumeratedFace(h, False, compact.n - count - 1))
         if points == everything:
             break
         # The next closed set in lectic order: add the last point i that is
@@ -144,7 +148,7 @@ def enumerate_faces(g: Digraph, max_edges: int = 20, include_empty: bool = False
             if points & bit:
                 points ^= bit
                 continue
-            closed, count = face_closure(g, points | bit)
+            closed, count = face_closure(compact, points | bit)
             if not (closed ^ points) & (bit - 1):
                 points = closed
                 break

@@ -10,6 +10,7 @@ from conftest import edge_list_text, mutate_edge_list
 
 from rootpoly.cli import main
 from rootpoly.crosscheck import random_dag
+from rootpoly.graphs import validate
 
 K3 = "3 3\n1 2\n1 3\n2 3\n"
 SQUARE = "4 4\n1 3\n1 4\n2 3\n2 4\n"
@@ -196,6 +197,89 @@ class TestKn:
             assert json.loads(out)["faces"] == want
 
 
+def _old_enumerate_output(g, trivial):
+    """enumerate's stdout, without and with --json, as the dict-based writer produced it: str() and json.dumps(indent=2)."""
+    from rootpoly.enumeration import count_by_dimension, enumerate_faces
+
+    faces = enumerate_faces(g, len(g.edges), trivial)
+    doc = {"faces": [{"edges": [list(e) for e in f.subgraph.edges], "origin": f.contains_origin, "dim": f.dim}
+                     for f in faces],
+           "fvector": {str(d): c for d, c in count_by_dimension(faces, trivial).items()}}
+    lines = [f"{len(faces)} faces (improper included)"]
+    lines += [f"  dim {f['dim']}: edges {f['edges']} origin={str(f['origin']).lower()}" for f in doc["faces"]]
+    lines.append("f-vector " + json.dumps(doc["fvector"]))
+    return "".join(line + "\n" for line in lines), json.dumps(doc, indent=2) + "\n"
+
+
+def _old_kn_listing(n, only, trivial, as_json):
+    """kn N's listing as the dict-based writer produced it."""
+    from rootpoly.enumeration import kn_q_faces, kn_tilde_faces
+
+    out = []
+    if only != "--q-only":
+        out += [{"edges": [list(e) for e in h.edges], "origin": True} for h in kn_tilde_faces(n)]
+    if only != "--tilde-only":
+        if trivial:
+            out.append({"edges": [], "origin": False})
+        out += [{"edges": [list(e) for e in h.edges], "origin": False} for h in kn_q_faces(n)]
+    if as_json:
+        return json.dumps({"n": n, "faces": out}, indent=2) + "\n"
+    lines = [f"{len(out)} generated faces"]
+    lines += [f"  origin={str(f['origin']).lower()} edges {f['edges']}" for f in out]
+    return "".join(line + "\n" for line in lines)
+
+
+def _seeded_dag(rng, n, m):
+    """A DAG on n vertices with m edges, in a shuffled vertex order and a shuffled edge order."""
+    order = rng.sample(range(1, n + 1), n)
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    return validate(n, rng.sample(pairs, m))
+
+
+class TestListingWriter:
+    # Listings are written from one text per edge; every byte must be what
+    # json.dumps(doc, indent=2) and str() of the face dicts wrote before.
+
+    @staticmethod
+    def _check_enumerate(g, path, capsys):
+        path.write_text(edge_list_text(g.n, g.edges))
+        for trivial in ([], ["--include-trivial-faces"]):
+            for as_json, want in zip(([], ["--json"]), _old_enumerate_output(g, bool(trivial))):
+                code, out, err = run(capsys, "enumerate", str(path), *trivial, *as_json)
+                assert (code, out, err) == (0, want, ""), (g, trivial, as_json)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_enumerate_on_every_small_dag(self, n, tmp_path, capsys):
+        from rootpoly.crosscheck import all_dags
+
+        for g in all_dags(n):
+            self._check_enumerate(g, tmp_path / "g.txt", capsys)
+
+    def test_enumerate_on_complete_and_seeded_dags(self, tmp_path, capsys):
+        from rootpoly.graphs import complete_graph
+
+        rng = random.Random(23)
+        graphs = [complete_graph(5), complete_graph(6)]
+        graphs += [_seeded_dag(rng, n, m) for n, m in ((7, 12), (7, 13), (8, 14), (8, 12))]
+        for g in graphs:
+            self._check_enumerate(g, tmp_path / "g.txt", capsys)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_kn_with_every_flag(self, n, capsys):
+        for only in ("", "--tilde-only", "--q-only"):
+            for trivial in ([], ["--include-trivial-faces"]):
+                flags = [only] * bool(only) + trivial
+                _, text, _ = run(capsys, "kn", str(n), *flags)
+                _, listed, _ = run(capsys, "kn", str(n), "--json", *flags)
+                assert text == _old_kn_listing(n, only, bool(trivial), False)
+                assert listed == _old_kn_listing(n, only, bool(trivial), True)
+                _, text, _ = run(capsys, "kn", str(n), "--fvector", *flags)
+                _, counted, _ = run(capsys, "kn", str(n), "--fvector", "--json", *flags)
+                doc = json.loads(counted)
+                assert counted == json.dumps(doc, indent=2) + "\n"
+                assert text == "f-vector " + json.dumps(doc["fvector"]) + "\n"
+
+
 class TestFVector:
     def test_agrees_with_enumerate(self, tmp_path, capsys):
         # Both commands count the same faces: every DAG on at most 3 vertices, K_4 and the square graph.
@@ -309,6 +393,40 @@ class TestOutputBoundary:
                 proc.kill()
             err.seek(0)
             assert err.read() == b""
+
+    def test_reader_closing_an_enumerate_listing_early(self, tmp_path):
+        # `rootpoly enumerate K6 --json | head -1`, on the fragment-built listing.  Its 61 kB
+        # would fit a default 64 kB pipe whole, so the pipe is shrunk to one page.
+        import fcntl
+        import os
+
+        k6 = tmp_path / "k6.txt"
+        k6.write_text(edge_list_text(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]))
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        with open(tmp_path / "err.txt", "w+b") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "rootpoly", "enumerate", str(k6), "--json"],
+                                    stdout=write_end, stderr=err)
+            os.close(write_end)
+            try:
+                with os.fdopen(read_end, "rb") as out:
+                    assert out.readline() == b"{\n"
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()
+            err.seek(0)
+            assert err.read() == b""
+
+    def test_back_to_back_calls_print_what_fresh_processes_print(self, files, capsys):
+        # The parser is built once per process; no parsed option may carry over to the next call.
+        calls = [("check", files["k3"], files["h12"], "--with-origin", "--json"),
+                 ("check", files["k3"], files["h12"], "--without-origin"),
+                 ("enumerate", files["square"]),
+                 ("kn", "4", "--fvector")]
+        in_process = [run(capsys, *argv) for argv in calls]
+        for argv, got in zip(calls, in_process):
+            proc = subprocess.run([sys.executable, "-m", "rootpoly", *argv], capture_output=True, text=True, timeout=60)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
     def test_cert_goes_through_the_same_writer(self, files, monkeypatch, capsys):
         import rootpoly.cli as cli

@@ -205,6 +205,37 @@ class TestOutputSensitive:
             assert closed * (m + 1) < 1 << m  # a sweep of all subgraphs would fail here
 
 
+class TestIsolatedVertices:
+    """The closures run on the vertices that edges touch, so a vertex no edge touches costs nothing."""
+
+    def test_eight_edge_path_under_a_huge_header(self, tmp_path, capsys):
+        import time
+
+        from rootpoly.graphs import load_digraph
+
+        path = "".join(f"{i} {i + 1}\n" for i in range(1, 9))
+        small, big = tmp_path / "small.txt", tmp_path / "big.txt"
+        small.write_text("9 8\n" + path)
+        big.write_text("100000 8\n" + path)
+        printed = []
+        for file in (small, big):
+            assert main(["fvector", str(file), "--json"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+        def best_of_five(g):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                fvector(g)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        # Timed on the graphs already read: reading the header's vertices is the only cost n adds.
+        read_small, read_big = load_digraph(str(small)), load_digraph(str(big))
+        assert best_of_five(read_big) < 2 * best_of_five(read_small)
+
+
 class TestFaceClosure:
     """face_closure, which reads none of the face criteria, fixes exactly the subgraphs they accept."""
 
